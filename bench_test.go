@@ -63,11 +63,12 @@ func BenchmarkStudyPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkStudyPipelinePcap times the byte-exact pcap path.
+// BenchmarkStudyPipelinePcap times the full packet path: the streamed
+// capture through decode, reassembly and matching.
 func BenchmarkStudyPipelinePcap(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := wayback.NewStudy(wayback.Config{Seed: int64(i), Scale: 200, UsePcap: true})
+		s, err := wayback.NewStudy(wayback.Config{Seed: int64(i), Scale: 200, Streaming: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func BenchmarkAblationPrefilter(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				events := ids.MatchSessions(sessions, engine, nil)
+				events := ids.MatchSessions(sessions, engine, nil, 1, nil)
 				if len(events) == 0 {
 					b.Fatal("no events")
 				}
@@ -329,8 +330,8 @@ func BenchmarkAblationPortInsensitive(b *testing.B) {
 	var recall float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ins := ids.MatchSessions(sessions, insEngine, nil)
-		strict := ids.MatchSessions(sessions, strictEngine, nil)
+		ins := ids.MatchSessions(sessions, insEngine, nil, 1, nil)
+		strict := ids.MatchSessions(sessions, strictEngine, nil, 1, nil)
 		recall = float64(len(strict)) / float64(len(ins))
 	}
 	b.ReportMetric(recall, "port-sensitive-recall")

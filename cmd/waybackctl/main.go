@@ -57,7 +57,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("waybackctl", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "study seed")
 	scale := fs.Int("scale", 50, "event volume divisor (1 = full 115k-event study)")
-	pcap := fs.Bool("pcap", false, "route capture through real pcap bytes")
 	streamFlag := fs.Bool("stream", false, "synthesize the capture lazily into the sharded scan (no pcap bytes materialized; identical output)")
 	streamSegments := fs.Int("stream-segments", 0, "virtual capture segments for -stream (0 = min(8, GOMAXPROCS); output is identical for every value)")
 	pipeline := fs.Bool("pipeline", false, "derive lifecycles from the measured pipeline instead of Appendix E")
@@ -90,7 +89,7 @@ func run(args []string) error {
 	}
 
 	study, err := wayback.NewStudy(wayback.Config{
-		Seed: *seed, Scale: *scale, UsePcap: *pcap, PipelineTimelines: *pipeline,
+		Seed: *seed, Scale: *scale, PipelineTimelines: *pipeline,
 		Streaming: *streamFlag, StreamSegments: *streamSegments,
 		ReasmShards: *reasmShards, MatchWorkers: *matchWorkers,
 		OverlapPolicy: overlap,

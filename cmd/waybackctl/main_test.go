@@ -36,7 +36,6 @@ func TestRunCommands(t *testing.T) {
 		{"-scale", "2000", "figure", "9"},
 		{"-scale", "2000", "figure", "11"},
 		{"-scale", "2000", "figure", "13"},
-		{"-scale", "2000", "-pcap", "summary"},
 		{"-scale", "2000", "-stream", "summary"},
 		{"-scale", "2000", "-stream", "-stream-segments", "3", "table", "4"},
 		{"-scale", "2000", "-pipeline", "table", "4"},

@@ -209,8 +209,7 @@ func openDaemon(cfg daemonConfig) (*daemon, error) {
 			FlushIdle:     cfg.flushIdle,
 			BatchSessions: cfg.batch,
 			MatchWorkers:  cfg.workers,
-			DecodeShards:  cfg.reasmShards,
-			Assembler:     tcpasm.Config{OverlapPolicy: cfg.overlapPolicy},
+			Assembler:     tcpasm.Config{Shards: cfg.reasmShards, OverlapPolicy: cfg.overlapPolicy},
 		}
 		if reg != nil {
 			// Hot reload: the pipeline consults the registry's live engine

@@ -48,6 +48,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/ingest"
 	"repro/internal/registry"
+	"repro/internal/tcpasm"
 	"repro/wayback"
 )
 
@@ -156,7 +157,7 @@ func openSensor(cfg sensorConfig) (*sensor, error) {
 		FlushIdle:     cfg.flushIdle,
 		BatchSessions: cfg.batch,
 		MatchWorkers:  cfg.workers,
-		DecodeShards:  cfg.reasmShards,
+		Assembler:     tcpasm.Config{Shards: cfg.reasmShards},
 	}
 	if reg != nil {
 		// Hot reload only: the sensor matches with the registry's live

@@ -21,8 +21,9 @@ const header = "go test fuzz v1"
 
 // Write rewrites testdata/fuzz/<fuzzName>/ (relative to the calling
 // package's directory, which is the working directory under go test) to
-// hold exactly the given single-[]byte-argument seeds, one file per seed.
-func Write(tb testing.TB, fuzzName string, seeds [][]byte) {
+// hold exactly the given seeds, one file per seed, for a target taking a
+// single []byte or string argument.
+func Write[T []byte | string](tb testing.TB, fuzzName string, seeds []T) {
 	tb.Helper()
 	dir := filepath.Join("testdata", "fuzz", fuzzName)
 	// Only seed-* files are regenerated; fuzzer-found regression inputs
@@ -39,8 +40,13 @@ func Write(tb testing.TB, fuzzName string, seeds [][]byte) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		tb.Fatal(err)
 	}
+	var zero T
+	typ := "[]byte"
+	if _, ok := any(zero).(string); ok {
+		typ = "string"
+	}
 	for i, seed := range seeds {
-		body := fmt.Sprintf("%s\n[]byte(%s)\n", header, strconv.Quote(string(seed)))
+		body := fmt.Sprintf("%s\n%s(%s)\n", header, typ, strconv.Quote(string(seed)))
 		path := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			tb.Fatal(err)

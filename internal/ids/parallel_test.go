@@ -50,9 +50,10 @@ func parallelFixture(t testing.TB, n int) ([]tcpasm.Session, *Engine) {
 func TestParallelMatchesSerial(t *testing.T) {
 	sessions, engine := parallelFixture(t, 503)
 	var serialStats, parStats ScanStats
-	serial := MatchSessions(sessions, engine, &serialStats)
+	serial := MatchSessions(sessions, engine, &serialStats, 1, nil)
 	for _, workers := range []int{0, 1, 2, 7} {
-		par := MatchSessionsParallel(sessions, engine, &parStats, workers)
+		matched := make([]bool, len(sessions))
+		par := MatchSessions(sessions, engine, &parStats, workers, matched)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d events vs serial %d", workers, len(par), len(serial))
 		}
@@ -64,12 +65,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if parStats != serialStats {
 			t.Fatalf("workers=%d: stats %+v vs %+v", workers, parStats, serialStats)
 		}
+		// Slot pairing: the k-th matched session owns events[k].
+		k := 0
+		for i := range sessions {
+			want, ok := MatchSession(&sessions[i], engine)
+			if matched[i] != ok {
+				t.Fatalf("workers=%d: session %d matched=%v, want %v", workers, i, matched[i], ok)
+			}
+			if ok {
+				if par[k] != want {
+					t.Fatalf("workers=%d: session %d paired with event %d %+v, want %+v", workers, i, k, par[k], want)
+				}
+				k++
+			}
+		}
+		if k != len(par) {
+			t.Fatalf("workers=%d: %d matched slots for %d events", workers, k, len(par))
+		}
 	}
 }
 
 func TestParallelSmallInputFallsBack(t *testing.T) {
 	sessions, engine := parallelFixture(t, 3)
-	events := MatchSessionsParallel(sessions, engine, nil, 8)
+	events := MatchSessions(sessions, engine, nil, 8, nil)
 	if len(events) != 3 { // 3 sessions: jndi, ognl, hik — none is the noise payload
 		t.Fatalf("events = %d", len(events))
 	}
@@ -80,7 +98,7 @@ func BenchmarkMatchSessionsSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatchSessions(sessions, engine, nil)
+		MatchSessions(sessions, engine, nil, 1, nil)
 	}
 }
 
@@ -89,13 +107,13 @@ func BenchmarkMatchSessionsParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatchSessionsParallel(sessions, engine, nil, 0)
+		MatchSessions(sessions, engine, nil, 0, nil)
 	}
 }
 
 func TestRuleProfiling(t *testing.T) {
 	sessions, engine := parallelFixture(t, 400)
-	MatchSessionsParallel(sessions, engine, nil, 4)
+	MatchSessions(sessions, engine, nil, 4, nil)
 	prof := engine.Profile()
 	if len(prof) != 3 {
 		t.Fatalf("profile rules = %d", len(prof))

@@ -3,6 +3,8 @@ package ids
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/packet"
@@ -59,6 +61,8 @@ type ScanStats struct {
 func ScanCapture(r pcapio.PacketSource, e *Engine) ([]Event, ScanStats, error) {
 	asm := tcpasm.NewAssembler(tcpasm.Config{})
 	var stats ScanStats
+	// One Packet serves every record: reassembly copies any payload it keeps.
+	var dec packet.Packet
 	for {
 		pkt, err := r.Next()
 		if err == io.EOF {
@@ -68,32 +72,76 @@ func ScanCapture(r pcapio.PacketSource, e *Engine) ([]Event, ScanStats, error) {
 			return nil, stats, fmt.Errorf("ids: reading capture: %w", err)
 		}
 		stats.Packets++
-		dec, err := packet.Decode(pkt.Data)
-		if err != nil {
+		if err := packet.DecodeInto(&dec, pkt.Data); err != nil {
 			stats.DecodeErrors++
 			continue
 		}
-		asm.Feed(pkt.Timestamp, dec)
+		asm.Feed(pkt.Timestamp, &dec)
 		if stats.Packets%4096 == 0 {
 			asm.Advance(pkt.Timestamp)
 		}
 	}
 	asm.Flush()
 	sessions := asm.Sessions()
-	events := MatchSessions(sessions, e, &stats)
+	events := MatchSessions(sessions, e, &stats, 1, nil)
 	return events, stats, nil
 }
 
-// MatchSessions evaluates sessions against the engine. stats may be nil.
-func MatchSessions(sessions []tcpasm.Session, e *Engine, stats *ScanStats) []Event {
+// MatchSessions evaluates sessions against the engine and returns the
+// attributed events in session order, for any worker count. workers <= 0
+// selects GOMAXPROCS; one worker, or a batch too small to split, evaluates
+// inline without spawning a goroutine. The engine is immutable after
+// construction, so workers share it without locking, and per-session
+// results land in a preallocated slot array that keeps the serial order.
+//
+// stats, when non-nil, receives the match-derived totals (Packets and
+// DecodeErrors are left alone). matched, when non-nil, must hold one slot
+// per session and records whether that session produced an event: the k-th
+// true slot owns events[k]. The digest-recording ingest path needs that
+// pairing, since each session's digest stores its own ingest-time label.
+func MatchSessions(sessions []tcpasm.Session, e *Engine, stats *ScanStats, workers int, matched []bool) []Event {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var events []Event
-	for i := range sessions {
-		s := &sessions[i]
-		ev, ok := matchSession(s, e)
-		if !ok {
-			continue
+	if workers == 1 || len(sessions) < 2*workers {
+		for i := range sessions {
+			ev, ok := matchSession(&sessions[i], e)
+			if matched != nil {
+				matched[i] = ok
+			}
+			if ok {
+				events = append(events, ev)
+			}
 		}
-		events = append(events, ev)
+		setMatchStats(stats, sessions, events)
+		return events
+	}
+	evs := make([]Event, len(sessions))
+	if matched == nil {
+		matched = make([]bool, len(sessions))
+	}
+	var wg sync.WaitGroup
+	next := make(chan int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				evs[i], matched[i] = matchSession(&sessions[i], e)
+			}
+		}()
+	}
+	for i := range sessions {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	events = make([]Event, 0, len(sessions))
+	for i, ok := range matched {
+		if ok {
+			events = append(events, evs[i])
+		}
 	}
 	setMatchStats(stats, sessions, events)
 	return events

@@ -126,7 +126,7 @@ func TestMatchSessionsNilStats(t *testing.T) {
 		ClientData: []byte("GET /?x=${jndi:ldap://e} HTTP/1.1\r\n\r\n"),
 		Complete:   true,
 	}
-	events := MatchSessions([]tcpasm.Session{s}, jndiEngine(t), nil)
+	events := MatchSessions([]tcpasm.Session{s}, jndiEngine(t), nil, 1, nil)
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/packet"
 	"repro/internal/pcapio"
@@ -24,7 +24,7 @@ type ScanConfig struct {
 	// of min(8, GOMAXPROCS).
 	Shards int
 	// MatchWorkers is the signature-matching pool size; zero means
-	// GOMAXPROCS (see MatchSessionsParallel).
+	// GOMAXPROCS (see MatchSessions).
 	MatchWorkers int
 	// DisjointSegments declares that srcs partition flows (no connection
 	// spans two segments) rather than being time-ordered slices of one
@@ -46,9 +46,33 @@ type ScanConfig struct {
 // Stats accounting matches ScanCapture: Packets counts records read,
 // DecodeErrors counts undecodable ones, across all segments.
 func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) ([]Event, ScanStats, error) {
-	var stats ScanStats
+	return scan(srcs, e, cfg, nil)
+}
+
+// ScanCaptureStreamed is ScanCaptureSharded with streaming emission: instead
+// of accumulating every session until the capture ends, completed sessions
+// flow straight from the shard workers through a matcher goroutine to sink,
+// so peak memory is bounded by the in-flight window rather than the capture
+// size. The trade: events reach sink in completion order, not the canonical
+// (End, Start, Client, Server) order, and no event slice is returned — exact
+// aggregate stats still are, via the order-independent StatsBuilder.
+//
+// sink must be non-nil. It is called from a single goroutine; each call
+// owns its slice. A sink error stops delivery (the capture is still drained
+// to keep the pipeline from deadlocking) and is returned after the scan's
+// own errors.
+func ScanCaptureStreamed(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) (ScanStats, error) {
+	_, stats, err := scan(srcs, e, cfg, sink)
+	return stats, err
+}
+
+// scan is the capture driver behind both entry points. With a nil sink the
+// assembler keeps every session until the capture ends and the canonically
+// ordered result is matched once; otherwise shard workers emit session
+// batches to a matcher goroutine that feeds sink as they complete.
+func scan(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig, sink func([]Event) error) ([]Event, ScanStats, error) {
 	if len(srcs) == 0 {
-		return nil, stats, fmt.Errorf("ids: no capture sources")
+		return nil, ScanStats{}, fmt.Errorf("ids: no capture sources")
 	}
 	acfg := cfg.Assembler
 	if cfg.Shards != 0 {
@@ -57,9 +81,38 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 	if cfg.DisjointSegments {
 		acfg.FlowDisjointFeeders = true
 	}
-	asm := tcpasm.NewSharded(acfg, len(srcs))
 
-	var packets, decodeErrs atomic.Int64
+	sb := NewStatsBuilder()
+	match := func(batch []tcpasm.Session) []Event {
+		events := MatchSessions(batch, e, nil, cfg.MatchWorkers, nil)
+		sb.AddSessionBatch(batch)
+		sb.AddEvents(events)
+		return events
+	}
+	var sinkErr error
+	var sessCh chan []tcpasm.Session
+	matcherDone := make(chan struct{})
+	if sink == nil {
+		close(matcherDone)
+	} else {
+		// Shard workers hand session batches to the matcher goroutine over
+		// a bounded channel: matching overlaps with reassembly and decode,
+		// and backpressure from a slow sink propagates all the way to
+		// generation.
+		sessCh = make(chan []tcpasm.Session, 4)
+		acfg.Emit = func(batch []tcpasm.Session) { sessCh <- batch }
+		go func() {
+			defer close(matcherDone)
+			for batch := range sessCh {
+				if events := match(batch); sinkErr == nil && len(events) > 0 {
+					sinkErr = sink(events)
+				}
+			}
+		}()
+	}
+
+	asm := tcpasm.NewSharded(acfg, len(srcs))
+	counts := make([]ScanStats, len(srcs))
 	errs := make([]error, len(srcs))
 	var wg sync.WaitGroup
 	for i, src := range srcs {
@@ -68,30 +121,47 @@ func ScanCaptureSharded(srcs []pcapio.PacketSource, e *Engine, cfg ScanConfig) (
 			defer wg.Done()
 			f := asm.Feeder(i)
 			defer f.Close()
-			errs[i] = decodeLoop(src, f, &packets, &decodeErrs)
+			var c ScanStats // local, so decoders share no cache line
+			if _, err := FeedCapture(src, f, 0, &c); err != io.EOF {
+				errs[i] = err
+			}
+			counts[i] = c
 		}(i, src)
 	}
 	wg.Wait()
-	sessions := asm.Wait()
+	sessions := asm.Wait() // nil under Emit, once the final flush batches are out
+	if sessCh != nil {
+		close(sessCh)
+	}
+	<-matcherDone
+	events := match(sessions)
 
-	stats.Packets = int(packets.Load())
-	stats.DecodeErrors = int(decodeErrs.Load())
+	stats := sb.Stats()
+	for _, c := range counts {
+		stats.Packets += c.Packets
+		stats.DecodeErrors += c.DecodeErrors
+	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, stats, fmt.Errorf("ids: segment %d: %w", i, err)
+			return nil, stats, fmt.Errorf("ids: segment %d: reading capture: %w", i, err)
 		}
 	}
-	events := MatchSessionsParallel(sessions, e, &stats, cfg.MatchWorkers)
-	return events, stats, nil
+	return events, stats, sinkErr
 }
 
-// decodeLoop reads src to EOF, decoding each record into a pooled item and
-// routing it to its flow's shard. Zero-copy sources lend the item's buffer
-// to NextInto; others cost one copy per record.
-func decodeLoop(src pcapio.PacketSource, f *tcpasm.Feeder, packets, decodeErrs *atomic.Int64) error {
+// FeedCapture reads records from src and routes each decodable frame to its
+// flow's shard through f, until src is exhausted (reported as io.EOF) or max
+// records have been read (max <= 0 means no limit). Zero-copy sources lend
+// the pooled item's buffer to NextInto and the frame is decoded in place;
+// others cost one copy per record. It adds the records read and the
+// undecodable ones to counts.Packets and counts.DecodeErrors, and returns
+// the timestamp of the last record read (zero if none). Every capture
+// front-end — the scan driver and the ingest tailer — runs this loop.
+func FeedCapture(src pcapio.PacketSource, f *tcpasm.Feeder, max int, counts *ScanStats) (time.Time, error) {
 	zc, zeroCopy := src.(pcapio.ZeroCopySource)
 	var rec pcapio.Packet
-	for {
+	var last time.Time
+	for n := 0; max <= 0 || n < max; n++ {
 		it := f.Get()
 		var err error
 		if zeroCopy {
@@ -106,21 +176,19 @@ func decodeLoop(src pcapio.PacketSource, f *tcpasm.Feeder, packets, decodeErrs *
 				it.Buf = append(it.Buf[:0], rec.Data...)
 			}
 		}
-		if err == io.EOF {
-			f.Recycle(it)
-			return nil
-		}
 		if err != nil {
 			f.Recycle(it)
-			return fmt.Errorf("reading capture: %w", err)
+			return last, err
 		}
-		packets.Add(1)
+		counts.Packets++
+		last = rec.Timestamp
 		if derr := packet.DecodeInto(&it.Pkt, it.Buf); derr != nil {
-			decodeErrs.Add(1)
+			counts.DecodeErrors++
 			f.Recycle(it)
 			continue
 		}
 		it.TS = rec.Timestamp
 		f.Feed(it)
 	}
+	return last, nil
 }

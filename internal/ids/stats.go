@@ -10,7 +10,7 @@ import (
 )
 
 // StatsBuilder accumulates ScanStats incrementally. It is the one shared
-// aggregation used by MatchSessions, MatchSessionsParallel, and the
+// aggregation used by MatchSessions, the capture scan driver, and the
 // streaming ingest pipeline, so the three paths cannot drift: a session
 // counts once, an event counts once, and distinct CVEs and source
 // addresses are deduplicated across every batch fed to the builder.

@@ -51,8 +51,8 @@ func TestStatsParitySerialParallelSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		sessions, engine := seededWorkload(t, seed, 900)
 		var serial, par ScanStats
-		se := MatchSessions(sessions, engine, &serial)
-		pe := MatchSessionsParallel(sessions, engine, &par, 4)
+		se := MatchSessions(sessions, engine, &serial, 1, nil)
+		pe := MatchSessions(sessions, engine, &par, 4, nil)
 		if len(se) != len(pe) {
 			t.Fatalf("seed %d: %d serial events vs %d parallel", seed, len(se), len(pe))
 		}
@@ -76,7 +76,7 @@ func TestStatsParitySerialParallelSeeded(t *testing.T) {
 func TestStatsBuilderIncrementalMatchesOneShot(t *testing.T) {
 	sessions, engine := seededWorkload(t, 5, 600)
 	var oneShot ScanStats
-	events := MatchSessions(sessions, engine, &oneShot)
+	events := MatchSessions(sessions, engine, &oneShot, 1, nil)
 
 	// Feeding the same events in arbitrary batch splits must aggregate to
 	// the identical stats — this is what the streaming ingest path relies on.

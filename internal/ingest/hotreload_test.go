@@ -11,6 +11,7 @@ import (
 	"repro/internal/pcapio"
 	"repro/internal/registry"
 	"repro/internal/rules"
+	"repro/internal/tcpasm"
 )
 
 // datedTestRules returns the three test signatures as dated rules, so a
@@ -100,7 +101,7 @@ func TestHotReloadParity(t *testing.T) {
 				EngineSource: reg.Engine, Digests: reg,
 				Store:        store,
 				PollInterval: 2 * time.Millisecond, FlushIdle: 50 * time.Millisecond,
-				BatchSessions: 32, DecodeShards: shards,
+				BatchSessions: 32, Assembler: tcpasm.Config{Shards: shards},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -7,13 +7,13 @@
 //
 // Shape:
 //
-//	tailer goroutine:   segments -> zero-copy decode -> flow-sharded tcpasm
-//	shard workers:      per-flow reassembly (tcpasm.Sharded, DecodeShards)
-//	matcher goroutine:  session batches -> ids.MatchSessionsParallel -> store
+//	tailer goroutine:   segments -> ids.FeedCapture -> flow-sharded tcpasm
+//	shard workers:      per-flow reassembly (tcpasm.Sharded, Assembler.Shards)
+//	matcher goroutine:  session batches -> ids.MatchSessions -> store
 //
 // The two stages are joined by a bounded channel, so a slow matcher
 // backpressures the tailer instead of buffering unboundedly. The matcher is
-// a single goroutine (parallelism lives inside MatchSessionsParallel), so
+// a single goroutine (parallelism lives inside MatchSessions), so
 // events reach the store in session order. Close drains: everything already
 // on disk is consumed, open connections are flushed, the final batches are
 // matched and appended, then the goroutines exit.
@@ -34,7 +34,6 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
-	"repro/internal/packet"
 	"repro/internal/pcapio"
 	"repro/internal/registry"
 	"repro/internal/tcpasm"
@@ -88,15 +87,12 @@ type Config struct {
 	// QueueDepth bounds the batches in flight between tailer and matcher.
 	// Zero means 4.
 	QueueDepth int
-	// MatchWorkers is passed to ids.MatchSessionsParallel. Zero selects
+	// MatchWorkers is passed to ids.MatchSessions. Zero selects
 	// GOMAXPROCS.
 	MatchWorkers int
-	// DecodeShards overrides Assembler.Shards for the flow-sharded
-	// reassembly stage (see tcpasm.Sharded); zero defers to Assembler.Shards
-	// and its default of min(8, GOMAXPROCS).
-	DecodeShards int
 	// Assembler tunes TCP reassembly (stream caps, idle horizon in capture
-	// time).
+	// time) and its Shards field sets the flow-sharded reassembly width (see
+	// tcpasm.Sharded; zero means min(8, GOMAXPROCS)).
 	Assembler tcpasm.Config
 }
 
@@ -233,13 +229,9 @@ func Start(cfg Config) (*Pipeline, error) {
 	if _, err := os.Stat(cfg.Dir); err != nil {
 		return nil, fmt.Errorf("ingest: watch dir: %w", err)
 	}
-	acfg := cfg.Assembler
-	if cfg.DecodeShards != 0 {
-		acfg.Shards = cfg.DecodeShards
-	}
 	p := &Pipeline{
 		cfg:     cfg,
-		asm:     tcpasm.NewSharded(acfg, 1),
+		asm:     tcpasm.NewSharded(cfg.Assembler, 1),
 		batchCh: make(chan []tcpasm.Session, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		tailerD: make(chan struct{}),
@@ -627,35 +619,18 @@ func (p *Pipeline) pump(st *tailState, draining bool) (bool, error) {
 		st.tail = pcapio.NewTailReader(f)
 		st.lastOff = 0
 	}
-	progress := false
-	caughtUp := false
-	var rec pcapio.Packet
-	for n := 0; n < 8192; n++ {
-		// Lend the pooled item's buffer to the tail reader, decode in place,
-		// and route to the flow's shard — no per-record allocation.
-		it := p.feeder.Get()
-		rec.Data = it.Buf
-		err := st.tail.NextInto(&rec)
-		it.Buf = rec.Data
-		if err == io.EOF {
-			p.feeder.Recycle(it)
-			caughtUp = true
-			break
-		}
-		if err != nil {
-			p.feeder.Recycle(it)
-			return progress, fmt.Errorf("ingest: %s: %w", st.path, err)
-		}
-		p.packets.Add(1)
-		st.lastTS = rec.Timestamp
-		if derr := packet.DecodeInto(&it.Pkt, it.Buf); derr != nil {
-			p.decodeErrs.Add(1)
-			p.feeder.Recycle(it)
-			continue
-		}
-		it.TS = rec.Timestamp
-		p.feeder.Feed(it)
+	var counts ids.ScanStats
+	last, err := ids.FeedCapture(st.tail, p.feeder, 8192, &counts)
+	p.packets.Add(uint64(counts.Packets))
+	p.decodeErrs.Add(uint64(counts.DecodeErrors))
+	if !last.IsZero() {
+		st.lastTS = last
 	}
+	caughtUp := err == io.EOF
+	if err != nil && !caughtUp {
+		return false, fmt.Errorf("ingest: %s: %w", st.path, err)
+	}
+	progress := false
 	if off := st.tail.Offset(); off > st.lastOff {
 		p.consumed.Add(off - st.lastOff)
 		st.lastOff = off
@@ -746,25 +721,26 @@ func (p *Pipeline) matcher() {
 		if ambiguous > 0 {
 			p.ambiguous.Add(ambiguous)
 		}
-		var events []ids.Event
+		var matched []bool
 		if p.cfg.Digests != nil {
-			evs, oks := ids.MatchSessionsEach(batch, eng, p.cfg.MatchWorkers)
+			matched = make([]bool, len(batch))
+		}
+		events := ids.MatchSessions(batch, eng, nil, p.cfg.MatchWorkers, matched)
+		if p.cfg.Digests != nil {
 			digests := make([]registry.Digest, len(batch))
 			limit := p.cfg.Digests.SampleLimit()
-			events = events[:0]
+			k := 0
 			for i := range batch {
 				var evp *ids.Event
-				if oks[i] {
-					events = append(events, evs[i])
-					evp = &evs[i]
+				if matched[i] {
+					evp = &events[k]
+					k++
 				}
 				digests[i] = registry.DigestOf(&batch[i], evp, limit)
 			}
 			if err := p.cfg.Digests.RecordDigests(digests); err != nil {
 				p.fail(err)
 			}
-		} else {
-			events = ids.MatchSessionsParallel(batch, eng, nil, p.cfg.MatchWorkers)
 		}
 		if len(events) > 0 {
 			if err := p.cfg.Sink.AppendBatch(events); err != nil {

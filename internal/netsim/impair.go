@@ -202,8 +202,8 @@ type ImpairStats struct {
 
 // ImpairedSource applies a Profile to a wrapped capture source. It
 // implements pcapio.PacketSource and pcapio.ZeroCopySource, so it drops
-// into every scan path (ids.ScanCapture*, the ingest tailer's segment
-// sources, telescope streams).
+// into every scan path: ids.ScanCapture, and ids.FeedCapture under the
+// sharded and streamed scans and the ingest tailer.
 type ImpairedSource struct {
 	src     pcapio.PacketSource
 	zc      pcapio.ZeroCopySource

@@ -7,13 +7,13 @@ import (
 )
 
 // Packet is a fully decoded Ethernet/IPv4/TCP frame as captured by the
-// telescope. Non-TCP and non-IPv4 frames are rejected by Decode; the study's
-// collection methodology is TCP-only (DSCOPE accepts TCP on all ports).
+// telescope. Non-TCP and non-IPv4 frames are rejected by DecodeInto; the
+// study's collection methodology is TCP-only (DSCOPE accepts TCP on all
+// ports).
 //
-// The layer pointers point into the Packet's own embedded backing headers
-// (one struct, one allocation — or zero with DecodeInto), so a decoded
-// Packet must be passed by pointer: copying the value would leave the copy's
-// pointers aimed at the original.
+// The layer pointers point into the Packet's own embedded backing headers,
+// so a decoded Packet must be passed by pointer: copying the value would
+// leave the copy's pointers aimed at the original.
 type Packet struct {
 	Eth *Ethernet
 	IP  *IPv4
@@ -26,22 +26,14 @@ type Packet struct {
 	tcp TCP
 }
 
-// Decode parses a full frame starting at the Ethernet layer. It returns an
-// error if any layer is malformed or if the frame is not IPv4/TCP.
-func Decode(data []byte) (*Packet, error) {
-	p := new(Packet)
-	if err := DecodeInto(p, data); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// DecodeInto decodes a full frame into p without allocating: the embedded
-// backing headers are overwritten in place and every payload slice aliases
-// data, so p may be reused across frames as long as each frame's buffer
-// stays untouched until downstream consumers (reassembly copies what it
-// retains) are done with the packet. On error the layer pointers are
-// cleared, so a stale previous decode cannot be mistaken for this frame's.
+// DecodeInto parses a full frame starting at the Ethernet layer into p. It
+// returns an error if any layer is malformed or if the frame is not
+// IPv4/TCP. It does not allocate: the embedded backing headers are
+// overwritten in place and every payload slice aliases data, so p may be
+// reused across frames as long as each frame's buffer stays untouched until
+// downstream consumers (reassembly copies what it retains) are done with the
+// packet. On error the layer pointers are cleared, so a stale previous
+// decode cannot be mistaken for this frame's.
 func DecodeInto(p *Packet, data []byte) error {
 	p.Eth, p.IP, p.TCP = nil, nil, nil
 	if err := p.eth.DecodeFrom(data); err != nil {
@@ -76,7 +68,7 @@ func (p *Packet) Payload() []byte { return p.TCP.LayerPayload() }
 
 // Builder assembles valid Ethernet/IPv4/TCP frames. It exists so the traffic
 // generator and tests can produce byte-exact wire frames that round-trip
-// through Decode, the pcap files, and TCP reassembly.
+// through DecodeInto, the pcap files, and TCP reassembly.
 type Builder struct {
 	// SrcMAC and DstMAC are used for every frame. The defaults are
 	// locally administered addresses.

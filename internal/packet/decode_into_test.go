@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestDecodeIntoMatchesDecode holds the zero-alloc path to the legacy one:
+// TestDecodeIntoMatchesDecode holds a reused Packet to a fresh one:
 // for the same frame, every decoded field and payload must agree.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	bld := NewBuilder(7)
@@ -27,9 +27,9 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 
 	var reused Packet
 	for i, frame := range frames {
-		want, err := Decode(frame)
+		want, err := decode(frame)
 		if err != nil {
-			t.Fatalf("frame %d: Decode: %v", i, err)
+			t.Fatalf("frame %d: fresh decode: %v", i, err)
 		}
 		if err := DecodeInto(&reused, frame); err != nil {
 			t.Fatalf("frame %d: DecodeInto: %v", i, err)

@@ -22,7 +22,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
+		p, err := decode(data)
 		if err != nil {
 			return
 		}
@@ -51,7 +51,7 @@ func fuzzDecodeIntoSeeds() [][]byte {
 	}
 }
 
-// FuzzDecodeInto cross-checks the zero-alloc decode against Decode: a reused
+// FuzzDecodeInto cross-checks a reused Packet against a fresh one: the reused
 // Packet — deliberately dirtied by a prior successful decode, the way the
 // capture front-end reuses it frame after frame — must reach the same
 // accept/reject decision and the same decoded views as a fresh decode of the
@@ -64,7 +64,7 @@ func FuzzDecodeInto(f *testing.F) {
 	b := NewBuilder(1)
 	dirty, _ := b.Build(Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN, Payload: []byte("prior frame")})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh, freshErr := Decode(data)
+		fresh, freshErr := decode(data)
 
 		var reused Packet
 		if err := DecodeInto(&reused, dirty); err != nil {
@@ -72,7 +72,7 @@ func FuzzDecodeInto(f *testing.F) {
 		}
 		err := DecodeInto(&reused, data)
 		if (err == nil) != (freshErr == nil) {
-			t.Fatalf("Decode err=%v but DecodeInto on a reused packet err=%v", freshErr, err)
+			t.Fatalf("fresh decode err=%v but DecodeInto on a reused packet err=%v", freshErr, err)
 		}
 		if err != nil {
 			if reused.Eth != nil || reused.IP != nil || reused.TCP != nil {

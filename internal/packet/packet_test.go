@@ -12,6 +12,16 @@ var (
 	dstEP = Endpoint{Addr: MustAddr("172.31.0.9"), Port: 8090}
 )
 
+// decode is DecodeInto on a fresh Packet: the reference side that the
+// reused-Packet cross-checks compare against.
+func decode(data []byte) (*Packet, error) {
+	var p Packet
+	if err := DecodeInto(&p, data); err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
 func buildFrame(t *testing.T, seg Segment) []byte {
 	t.Helper()
 	b := NewBuilder(1)
@@ -30,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 		Flags:   FlagPSH | FlagACK,
 		Payload: payload,
 	})
-	p, err := Decode(frame)
+	p, err := decode(frame)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -58,14 +68,14 @@ func TestDecodeChecksumValidation(t *testing.T) {
 	frame := buildFrame(t, Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN})
 	// Corrupt one byte of the IP header (TTL).
 	frame[ethernetHeaderLen+8] ^= 0xff
-	if _, err := Decode(frame); err == nil {
+	if _, err := decode(frame); err == nil {
 		t.Error("Decode accepted frame with corrupted IP header")
 	}
 }
 
 func TestVerifyTCPChecksum(t *testing.T) {
 	frame := buildFrame(t, Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN | FlagACK, Payload: []byte("hi")})
-	p, err := Decode(frame)
+	p, err := decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +93,7 @@ func TestVerifyTCPChecksum(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	frame := buildFrame(t, Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN, Payload: []byte("abcdef")})
 	for _, n := range []int{0, 5, ethernetHeaderLen - 1, ethernetHeaderLen + 3, ethernetHeaderLen + ipv4MinHeaderLen + 2} {
-		if _, err := Decode(frame[:n]); err == nil {
+		if _, err := decode(frame[:n]); err == nil {
 			t.Errorf("Decode of %d-byte prefix succeeded", n)
 		}
 	}
@@ -92,7 +102,7 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeRejectsNonIPv4EtherType(t *testing.T) {
 	frame := buildFrame(t, Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN})
 	frame[12], frame[13] = 0x86, 0xdd // IPv6 EtherType
-	if _, err := Decode(frame); err == nil {
+	if _, err := decode(frame); err == nil {
 		t.Error("Decode accepted IPv6 EtherType")
 	}
 }
@@ -105,7 +115,7 @@ func TestDecodeRejectsNonTCP(t *testing.T) {
 	ipHdr[10], ipHdr[11] = 0, 0 // zero checksum
 	cs := Checksum(ipHdr)
 	ipHdr[10], ipHdr[11] = byte(cs>>8), byte(cs)
-	if _, err := Decode(frame); err == nil {
+	if _, err := decode(frame); err == nil {
 		t.Error("Decode accepted UDP protocol")
 	}
 }
@@ -124,7 +134,7 @@ func TestIPv4TrailingPadIgnored(t *testing.T) {
 	// the decoder must honor the IP total length, not the buffer length.
 	frame := buildFrame(t, Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN})
 	padded := append(append([]byte(nil), frame...), make([]byte, 10)...)
-	p, err := Decode(padded)
+	p, err := decode(padded)
 	if err != nil {
 		t.Fatalf("Decode of padded frame: %v", err)
 	}
@@ -256,8 +266,8 @@ func TestIPIDsIncrement(t *testing.T) {
 	b := NewBuilder(1)
 	f1, _ := b.Build(Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN})
 	f2, _ := b.Build(Segment{Src: srcEP, Dst: dstEP, Flags: FlagSYN})
-	p1, err1 := Decode(f1)
-	p2, err2 := Decode(f2)
+	p1, err1 := decode(f1)
+	p2, err2 := decode(f2)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("decode: %v %v", err1, err2)
 	}
@@ -281,7 +291,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := Decode(frame)
+		p, err := decode(frame)
 		if err != nil {
 			return false
 		}
@@ -296,7 +306,7 @@ func TestRoundTripProperty(t *testing.T) {
 // Property: decoding never panics on arbitrary bytes.
 func TestDecodeNoPanicProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		_, _ = Decode(data) // must not panic
+		_, _ = decode(data) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -328,14 +338,6 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Decode(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("into", func(b *testing.B) {
 		var p Packet
 		b.ReportAllocs()

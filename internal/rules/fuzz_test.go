@@ -1,17 +1,37 @@
 package rules
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/fuzzcorpus"
+)
 
 // Fuzz targets: the parsers must never panic and accepted rules must
 // survive a render → reparse cycle.
 
+func fuzzParseSeeds() []string {
+	return []string{
+		log4shellRule,
+		`alert tcp any any -> any 8090 (msg:"x"; content:"|90 90|ab"; nocase; sid:1;)`,
+		`alert tcp $HOME_NET ![80,443] <> 10.0.0.0/8 any (msg:"y"; pcre:"/a|b/Ui"; dsize:>10; sid:2;)`,
+		`alert udp any any -> any any (msg:"z"; byte_test:4,>,100,0; sid:3;)`,
+		`(((((`,
+		`alert tcp any any -> any any (content:"\")`,
+	}
+}
+
+func fuzzParsePortSpecSeeds() []string {
+	return []string{"any", "80", "!80", "[80,443,8000:8100]", ":1024", "60000:"}
+}
+
+func fuzzParseByteTestSeeds() []string {
+	return []string{"4,>,1000,0", "2,!=,0x1F,8,relative,little", "5,=,65535,0,string,dec"}
+}
+
 func FuzzParse(f *testing.F) {
-	f.Add(log4shellRule)
-	f.Add(`alert tcp any any -> any 8090 (msg:"x"; content:"|90 90|ab"; nocase; sid:1;)`)
-	f.Add(`alert tcp $HOME_NET ![80,443] <> 10.0.0.0/8 any (msg:"y"; pcre:"/a|b/Ui"; dsize:>10; sid:2;)`)
-	f.Add(`alert udp any any -> any any (msg:"z"; byte_test:4,>,100,0; sid:3;)`)
-	f.Add(`(((((`)
-	f.Add(`alert tcp any any -> any any (content:"\")`)
+	for _, seed := range fuzzParseSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		r, err := Parse(text)
 		if err != nil {
@@ -29,8 +49,8 @@ func FuzzParse(f *testing.F) {
 }
 
 func FuzzParsePortSpec(f *testing.F) {
-	for _, s := range []string{"any", "80", "!80", "[80,443,8000:8100]", ":1024", "60000:"} {
-		f.Add(s)
+	for _, seed := range fuzzParsePortSpecSeeds() {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		spec, err := ParsePortSpec(text)
@@ -51,9 +71,9 @@ func FuzzParsePortSpec(f *testing.F) {
 }
 
 func FuzzParseByteTest(f *testing.F) {
-	f.Add("4,>,1000,0")
-	f.Add("2,!=,0x1F,8,relative,little")
-	f.Add("5,=,65535,0,string,dec")
+	for _, seed := range fuzzParseByteTestSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		bt, err := ParseByteTest(text)
 		if err != nil {
@@ -64,4 +84,16 @@ func FuzzParseByteTest(f *testing.F) {
 		_ = bt.Eval(nil, 0)
 		_ = bt.Eval(data, -100)
 	})
+}
+
+// TestRegenFuzzCorpus rewrites this package's committed seed corpora from
+// the same seed lists the fuzz targets f.Add. Run with REGEN_FUZZ_CORPUS=1
+// after changing the seeds.
+func TestRegenFuzzCorpus(t *testing.T) {
+	if !fuzzcorpus.Regen() {
+		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz")
+	}
+	fuzzcorpus.Write(t, "FuzzParse", fuzzParseSeeds())
+	fuzzcorpus.Write(t, "FuzzParsePortSpec", fuzzParsePortSpecSeeds())
+	fuzzcorpus.Write(t, "FuzzParseByteTest", fuzzParseByteTestSeeds())
 }

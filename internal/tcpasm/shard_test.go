@@ -122,8 +122,8 @@ func serialSessions(t testing.TB, cfg Config, events []feedEvent) []Session {
 	t.Helper()
 	a := NewAssembler(cfg)
 	for i, ev := range events {
-		p, err := packet.Decode(ev.frame)
-		if err != nil {
+		p := new(packet.Packet)
+		if err := packet.DecodeInto(p, ev.frame); err != nil {
 			t.Fatal(err)
 		}
 		a.Feed(ev.ts, p)
@@ -236,8 +236,8 @@ func TestShardedStreamingBarriers(t *testing.T) {
 			hi = len(events)
 		}
 		for _, ev := range events[lo:hi] {
-			p, err := packet.Decode(ev.frame)
-			if err != nil {
+			p := new(packet.Packet)
+			if err := packet.DecodeInto(p, ev.frame); err != nil {
 				t.Fatal(err)
 			}
 			ref.Feed(ev.ts, p)
@@ -630,8 +630,8 @@ func TestShardedFlowDisjointFeedersParity(t *testing.T) {
 		t.Run(fmt.Sprintf("feeders%d", feeders), func(t *testing.T) {
 			parts := make([][]feedEvent, feeders)
 			for _, ev := range events {
-				p, err := packet.Decode(ev.frame)
-				if err != nil {
+				p := new(packet.Packet)
+				if err := packet.DecodeInto(p, ev.frame); err != nil {
 					t.Fatal(err)
 				}
 				si := FlowShard(p.Flow(), feeders)

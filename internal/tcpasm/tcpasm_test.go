@@ -41,8 +41,8 @@ func (f *flowBuilder) feed(seg packet.Segment) {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	p, err := packet.Decode(frame)
-	if err != nil {
+	p := new(packet.Packet)
+	if err := packet.DecodeInto(p, frame); err != nil {
 		f.t.Fatal(err)
 	}
 	f.a.Feed(f.ts, p)
@@ -248,8 +248,8 @@ func TestConcurrentConnections(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := packet.Decode(frame)
-			if err != nil {
+			p := new(packet.Packet)
+			if err := packet.DecodeInto(p, frame); err != nil {
 				t.Fatal(err)
 			}
 			a.Feed(ts, p)
@@ -313,8 +313,8 @@ func TestShuffledSegmentsProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := packet.Decode(frame)
-			if err != nil {
+			p := new(packet.Packet)
+			if err := packet.DecodeInto(p, frame); err != nil {
 				t.Fatal(err)
 			}
 			a.Feed(ts, p)
@@ -375,8 +375,8 @@ func BenchmarkFeed(b *testing.B) {
 	frames[2], _ = bld.Build(packet.Segment{Src: cli, Dst: srv, Seq: 357, Flags: packet.FlagRST})
 	pkts := make([]*packet.Packet, len(frames))
 	for i, f := range frames {
-		p, err := packet.Decode(f)
-		if err != nil {
+		p := new(packet.Packet)
+		if err := packet.DecodeInto(p, f); err != nil {
 			b.Fatal(err)
 		}
 		pkts[i] = p
@@ -441,8 +441,8 @@ func TestDrainIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := packet.Decode(frame)
-		if err != nil {
+		p := new(packet.Packet)
+		if err := packet.DecodeInto(p, frame); err != nil {
 			t.Fatal(err)
 		}
 		a.Feed(ts, p)

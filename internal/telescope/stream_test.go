@@ -116,8 +116,8 @@ func TestStreamSegmentsPartitionWithoutLoss(t *testing.T) {
 				for _, f := range frames {
 					gotCount[string(f)]++
 					total++
-					p, err := packet.Decode(f)
-					if err != nil {
+					p := new(packet.Packet)
+					if err := packet.DecodeInto(p, f); err != nil {
 						t.Fatalf("segment %d: undecodable frame: %v", si, err)
 					}
 					if got := tcpasm.FlowShard(p.Flow(), segs); got != si {

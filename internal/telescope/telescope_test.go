@@ -83,7 +83,7 @@ func TestPcapPathEquivalentToFastPath(t *testing.T) {
 	engine := ids.NewEngine(rs, ids.Config{PortInsensitive: true})
 
 	// Fast path.
-	fast := ids.MatchSessions(tel.Sessions(bps), engine, nil)
+	fast := ids.MatchSessions(tel.Sessions(bps), engine, nil, 1, nil)
 
 	// Pcap path.
 	var buf bytes.Buffer
@@ -140,7 +140,7 @@ func TestWritePcapProducesValidFrames(t *testing.T) {
 		t.Fatalf("too few packets: %d", len(pkts))
 	}
 	for i, p := range pkts {
-		if _, err := packet.Decode(p.Data); err != nil {
+		if err := packet.DecodeInto(new(packet.Packet), p.Data); err != nil {
 			t.Fatalf("packet %d invalid: %v", i, err)
 		}
 	}
@@ -384,7 +384,7 @@ func TestSessionsToPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := ids.NewEngine(rs, ids.Config{PortInsensitive: true})
-	direct := ids.MatchSessions(sessions, engine, nil)
+	direct := ids.MatchSessions(sessions, engine, nil, 1, nil)
 
 	src, err := pcapio.OpenCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {

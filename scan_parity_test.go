@@ -18,7 +18,7 @@ import (
 )
 
 // studyCapture writes the seed's full study capture to pcap bytes — the
-// exact bytes Study.Run produces on the UsePcap path.
+// same frames Study.Run synthesizes on its Streaming path.
 func studyCapture(t testing.TB, seed int64, scale int) []byte {
 	t.Helper()
 	bps, err := scanner.Build(scanner.Config{Seed: seed, Scale: scale})
@@ -67,7 +67,7 @@ func TestShardedScanStudyParity(t *testing.T) {
 			var wantTable string
 			for _, shards := range []int{1, 3, 8} {
 				s, err := wayback.NewStudy(wayback.Config{
-					Seed: seed, Scale: scale, UsePcap: true,
+					Seed: seed, Scale: scale, Streaming: true,
 					PipelineTimelines: true, ReasmShards: shards,
 				})
 				if err != nil {

@@ -1,6 +1,7 @@
 package wayback
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,17 +9,51 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/pcapio"
+	"repro/internal/scanner"
 )
 
+// pcapOracle is the reference every capture path must reproduce: the
+// study's capture written out as pcap bytes and replayed through the serial
+// ids.ScanCapture.
+func pcapOracle(t testing.TB, cfg Config) *Results {
+	t.Helper()
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bps, err := scanner.Build(s.scannerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := pcapio.NewWriter(&buf, pcapio.LinkTypeEthernet, pcapio.WithNanoPrecision())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.tel.WritePcap(bps, w); err != nil {
+		t.Fatal(err)
+	}
+	r, err := pcapio.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := newResults(s.cfg)
+	if res.Events, res.Stats, err = ids.ScanCapture(r, s.engine); err != nil {
+		t.Fatal(err)
+	}
+	res.finish(s)
+	return res
+}
+
 // TestStreamingMatchesPcapPath: the zero-materialization capture must
-// reproduce the UsePcap path exactly — events in identical order, identical
-// stats, identical Table 4 — for every segment count and seed.
+// reproduce the serial scan of the same capture written as pcap exactly —
+// events in identical order, identical stats, identical Table 4 — for every
+// segment count and seed.
 func TestStreamingMatchesPcapPath(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		base := Config{Seed: seed, Scale: 1500, LegacyScans: 30}
-		pcapCfg := base
-		pcapCfg.UsePcap = true
-		want := run(t, pcapCfg)
+		want := pcapOracle(t, base)
 		if want.Stats.MatchedEvents < 50 {
 			t.Fatalf("seed %d: weak test input, only %d events", seed, want.Stats.MatchedEvents)
 		}

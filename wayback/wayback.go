@@ -16,7 +16,6 @@
 package wayback
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/ids"
 	"repro/internal/lifecycle"
-	"repro/internal/pcapio"
 	"repro/internal/report"
 	"repro/internal/rules"
 	"repro/internal/scanner"
@@ -47,10 +45,6 @@ type Config struct {
 	// Noise is the number of non-exploit background sessions. Zero means
 	// one tenth of the exploit volume.
 	Noise int
-	// UsePcap routes capture through real pcap bytes and the full
-	// decode/reassemble path instead of the fast session path. Slower,
-	// byte-exact; results are identical (verified by tests).
-	UsePcap bool
 	// PortSensitive disables the paper's port-insensitive rule rewriting
 	// (used by the ablation bench). Default false: rules are rewritten.
 	PortSensitive bool
@@ -67,17 +61,18 @@ type Config struct {
 	// legacy CVEs appear in the attributed events (the filtering
 	// ablation). Default false: the paper's methodology.
 	UnfilteredRules bool
-	// ReasmShards is the flow-sharded reassembly width for the UsePcap path
-	// (ids.ScanCaptureSharded). Zero picks min(8, GOMAXPROCS); every value
-	// yields identical events.
+	// ReasmShards is the flow-sharded reassembly width for the streamed
+	// capture (Streaming and RunStream). Zero picks min(8, GOMAXPROCS);
+	// every value yields identical events.
 	ReasmShards int
-	// MatchWorkers sizes the signature-matching pool for both capture
-	// paths. Zero picks GOMAXPROCS.
+	// MatchWorkers sizes the signature-matching pool for every run mode.
+	// Zero picks GOMAXPROCS.
 	MatchWorkers int
 	// Streaming synthesizes the capture lazily straight into the sharded
 	// scan front-end: no pcap bytes are materialized in memory or on disk,
-	// yet events are byte-identical to the UsePcap path (parity-tested).
-	// Takes precedence over UsePcap.
+	// yet events are byte-identical to ids.ScanCapture over the same
+	// capture written as pcap (parity-tested). Without it, Run matches the
+	// telescope's sessions directly and skips the packet front-end.
 	Streaming bool
 	// StreamSegments is how many virtual capture segments the streamed
 	// capture splits into, one decode goroutine each. Zero means the
@@ -89,8 +84,8 @@ type Config struct {
 	// it to push volume past paper scale.
 	Boost int
 	// OverlapPolicy selects how reassembly resolves conflicting overlapping
-	// retransmits on the capture paths (UsePcap, Streaming). Zero is
-	// first-wins; either way conflicting sessions are flagged Ambiguous.
+	// retransmits on the streamed capture. Zero is first-wins; either way
+	// conflicting sessions are flagged Ambiguous.
 	OverlapPolicy tcpasm.OverlapPolicy
 }
 
@@ -238,6 +233,17 @@ func (s *Study) StreamCapture() (*telescope.Stream, error) {
 	return s.tel.Stream(src, telescope.StreamConfig{Segments: s.streamSegments()}), nil
 }
 
+// scanConfig sizes the scan front-end for the streamed capture's
+// flow-disjoint virtual segments.
+func (s *Study) scanConfig() ids.ScanConfig {
+	return ids.ScanConfig{
+		Shards:           s.cfg.ReasmShards,
+		MatchWorkers:     s.cfg.MatchWorkers,
+		DisjointSegments: true,
+		Assembler:        tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy},
+	}
+}
+
 // Run generates the workload, captures it, runs the IDS, and assembles
 // lifecycles.
 func (s *Study) Run() (*Results, error) {
@@ -249,11 +255,7 @@ func (s *Study) Run() (*Results, error) {
 		defer st.Close()
 		s.stream.Store(st)
 		res := newResults(s.cfg)
-		res.Events, res.Stats, err = ids.ScanCaptureSharded(
-			st.PacketSources(), s.engine,
-			ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-				DisjointSegments: true,
-				Assembler:        tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}})
+		res.Events, res.Stats, err = ids.ScanCaptureSharded(st.PacketSources(), s.engine, s.scanConfig())
 		if err != nil {
 			return nil, fmt.Errorf("wayback: scanning streamed capture: %w", err)
 		}
@@ -266,38 +268,11 @@ func (s *Study) Run() (*Results, error) {
 		return nil, fmt.Errorf("wayback: building workload: %w", err)
 	}
 	res := newResults(s.cfg)
-
-	if s.cfg.UsePcap {
-		var buf bytes.Buffer
-		w, err := pcapio.NewWriter(&buf, pcapio.LinkTypeEthernet, pcapio.WithNanoPrecision())
-		if err != nil {
-			return nil, err
-		}
-		if err := s.tel.WritePcap(bps, w); err != nil {
-			return nil, fmt.Errorf("wayback: writing capture: %w", err)
-		}
-		r, err := pcapio.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return nil, err
-		}
-		// The parallel front-end is proven byte-identical to ids.ScanCapture
-		// (parity tests in packages ids and wayback), so the fast path is
-		// the only path.
-		res.Events, res.Stats, err = ids.ScanCaptureSharded(
-			[]pcapio.PacketSource{r}, s.engine,
-			ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-				Assembler: tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}})
-		if err != nil {
-			return nil, fmt.Errorf("wayback: scanning capture: %w", err)
-		}
-	} else {
-		sessions := s.tel.Sessions(bps)
-		res.Coverage = telescope.Coverage(sessions)
-		// Parallel matching preserves session order, so results are
-		// byte-identical to the serial path (tested in package ids).
-		res.Events = ids.MatchSessionsParallel(sessions, s.engine, &res.Stats, s.cfg.MatchWorkers)
-	}
-
+	sessions := s.tel.Sessions(bps)
+	res.Coverage = telescope.Coverage(sessions)
+	// Parallel matching preserves session order, so results are
+	// byte-identical to the serial path (tested in package ids).
+	res.Events = ids.MatchSessions(sessions, s.engine, &res.Stats, s.cfg.MatchWorkers, nil)
 	res.finish(s)
 	return res, nil
 }
@@ -323,12 +298,7 @@ func (s *Study) RunStream(sink func([]ids.Event) error) (*Results, error) {
 	defer st.Close()
 	s.stream.Store(st)
 	res := newResults(s.cfg)
-	res.Stats, err = ids.ScanCaptureStreamed(
-		st.PacketSources(), s.engine,
-		ids.ScanConfig{Shards: s.cfg.ReasmShards, MatchWorkers: s.cfg.MatchWorkers,
-			DisjointSegments: true,
-			Assembler:        tcpasm.Config{OverlapPolicy: s.cfg.OverlapPolicy}},
-		sink)
+	res.Stats, err = ids.ScanCaptureStreamed(st.PacketSources(), s.engine, s.scanConfig(), sink)
 	if err != nil {
 		return nil, fmt.Errorf("wayback: streaming scan: %w", err)
 	}

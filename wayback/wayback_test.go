@@ -37,9 +37,9 @@ func TestStudyRunFastPath(t *testing.T) {
 
 func TestPcapPathMatchesFastPath(t *testing.T) {
 	fast := run(t, Config{Seed: 5, Scale: 1500})
-	slow := run(t, Config{Seed: 5, Scale: 1500, UsePcap: true})
+	slow := run(t, Config{Seed: 5, Scale: 1500, Streaming: true})
 	if fast.Stats.MatchedEvents != slow.Stats.MatchedEvents {
-		t.Errorf("fast %d events, pcap %d", fast.Stats.MatchedEvents, slow.Stats.MatchedEvents)
+		t.Errorf("fast %d events, streamed capture %d", fast.Stats.MatchedEvents, slow.Stats.MatchedEvents)
 	}
 	if slow.Stats.DecodeErrors != 0 {
 		t.Errorf("decode errors = %d", slow.Stats.DecodeErrors)
@@ -274,12 +274,12 @@ func TestWriteReport(t *testing.T) {
 }
 
 func TestPcapPathWithLegacyTraffic(t *testing.T) {
-	// The byte-exact path and the fast path agree with legacy traffic in
+	// The full packet path and the fast path agree with legacy traffic in
 	// the capture too.
 	fast := run(t, Config{Seed: 13, Scale: 1500, LegacyScans: 30})
-	slow := run(t, Config{Seed: 13, Scale: 1500, LegacyScans: 30, UsePcap: true})
+	slow := run(t, Config{Seed: 13, Scale: 1500, LegacyScans: 30, Streaming: true})
 	if fast.Stats.MatchedEvents != slow.Stats.MatchedEvents {
-		t.Errorf("fast %d vs pcap %d", fast.Stats.MatchedEvents, slow.Stats.MatchedEvents)
+		t.Errorf("fast %d vs streamed capture %d", fast.Stats.MatchedEvents, slow.Stats.MatchedEvents)
 	}
 	if fast.Stats.DistinctCVEs != 63 || slow.Stats.DistinctCVEs != 63 {
 		t.Errorf("distinct CVEs %d / %d", fast.Stats.DistinctCVEs, slow.Stats.DistinctCVEs)
