@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/eventstore"
 	"repro/internal/ids"
+	"repro/internal/journal"
 )
 
 // ProtocolVersion is the handshake version; a mismatch fails the handshake
@@ -130,7 +131,7 @@ var wireCRC = crc32.MakeTable(crc32.IEEE)
 // writeFrame writes one framed payload: u32 length | u32 CRC | payload,
 // little-endian — AppendFrame's format on a socket.
 func writeFrame(w io.Writer, payload []byte) error {
-	frame := eventstore.AppendFrame(make([]byte, 0, 8+len(payload)), payload)
+	frame := journal.AppendFrame(make([]byte, 0, 8+len(payload)), payload)
 	return writeRawFrame(w, payload, frame)
 }
 
@@ -138,7 +139,7 @@ func writeFrame(w io.Writer, payload []byte) error {
 // hot paths (batch sends, acks) that would otherwise allocate and copy a
 // frame per message.
 func writeFrameReusing(w io.Writer, payload []byte, scratch *[]byte) error {
-	*scratch = eventstore.AppendFrame((*scratch)[:0], payload)
+	*scratch = journal.AppendFrame((*scratch)[:0], payload)
 	return writeRawFrame(w, payload, *scratch)
 }
 

@@ -7,9 +7,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/journal"
+	"repro/internal/journal/journaltest"
 )
 
 func TestSpoolAddAckRecover(t *testing.T) {
@@ -218,7 +219,7 @@ func TestSpoolRefusesIntactOversizedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oversize := eventstore.AppendFrame(raw, make([]byte, spoolMaxPayload+1))
+	oversize := journal.AppendFrame(raw, make([]byte, spoolMaxPayload+1))
 	if err := os.WriteFile(path, oversize, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -431,4 +432,107 @@ func TestSpoolCompactAbortLeaksNothing(t *testing.T) {
 	if _, err := sp.Add(events[:1]); err != nil {
 		t.Fatalf("post-compaction Add: %v", err)
 	}
+}
+
+// TestWatermarksTornAdvanceRollsBack: a torn Advance must leave no garbage
+// behind. Without the rollback, the next, fsynced Advance lands after the
+// torn half-record; it returns nil, yet recovery stops at the tear and
+// regresses the watermark — and a regressed watermark re-applies batches.
+func TestWatermarksTornAdvanceRollsBack(t *testing.T) {
+	for name, advance := range map[string]func(w *Watermarks, seq uint64) error{
+		"Advance":    func(w *Watermarks, seq uint64) error { return w.Advance("a", seq) },
+		"AdvanceAll": func(w *Watermarks, seq uint64) error { return w.AdvanceAll(map[string]uint64{"a": seq}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := &journaltest.TearFS{FS: fault.NewSimFS(1, fault.Profile{})}
+			w, err := OpenWatermarksFS(fs, "wm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := advance(w, 1); err != nil {
+				t.Fatal(err)
+			}
+			fs.Tear("FLEET-WATERMARKS.log")
+			if err := advance(w, 2); !errors.Is(err, journaltest.ErrTorn) {
+				t.Fatalf("torn advance returned %v", err)
+			}
+			if err := advance(w, 3); err != nil {
+				t.Fatalf("advance after tear: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w, err = OpenWatermarksFS(fs, "wm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if got := w.Get("a"); got != 3 {
+				t.Fatalf("recovered watermark %d, want 3", got)
+			}
+		})
+	}
+}
+
+// TestSpoolTornAddRollsBack: a torn Add must leave no garbage behind.
+// Without the rollback, the next Add and Sync succeed, yet reopening loses
+// that synced batch — recovery stops at the tear before it.
+func TestSpoolTornAddRollsBack(t *testing.T) {
+	fs := &journaltest.TearFS{FS: fault.NewSimFS(1, fault.Profile{})}
+	sp, err := openSpool(fs, "spool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := testEvents(t, 3)
+	if _, err := sp.Add(events[:1]); err != nil {
+		t.Fatal(err)
+	}
+	fs.Tear("spool.log")
+	if _, err := sp.Add(events[1:2]); !errors.Is(err, journaltest.ErrTorn) {
+		t.Fatalf("torn Add returned %v", err)
+	}
+	seq, err := sp.Add(events[2:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sp, err = openSpool(fs, "spool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	b, ok := sp.NextAfter(seq - 1)
+	if !ok || b.seq != seq || len(b.events) != 1 || !eventsEqual(b.events[0], events[2]) {
+		t.Fatalf("synced batch %d lost after reopen: ok=%v seq=%d depth=%d", seq, ok, b.seq, sp.Depth())
+	}
+}
+
+// TestLogRecoveryTable runs the shared header/recovery table against the
+// spool and the watermark journal.
+func TestLogRecoveryTable(t *testing.T) {
+	journaltest.RunRecoveryTable(t,
+		journaltest.Log{Name: "spool", File: "spool.log", Magic: spoolMagic, MaxRecord: spoolMaxPayload,
+			Record: encodeSpoolBatch(1, testEvents(t, 2)),
+			Open: func(fs fault.FS, dir string) error {
+				sp, err := openSpool(fs, dir)
+				if err != nil {
+					return err
+				}
+				return sp.Close()
+			}},
+		journaltest.Log{Name: "watermarks", File: "FLEET-WATERMARKS.log", Magic: wmMagic, MaxRecord: journal.MaxRecordLen,
+			Record: encodeMark("s1", 1),
+			Open: func(fs fault.FS, dir string) error {
+				w, err := OpenWatermarksFS(fs, dir)
+				if err != nil {
+					return err
+				}
+				return w.Close()
+			}},
+	)
 }

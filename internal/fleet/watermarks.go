@@ -1,16 +1,14 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
+	"repro/internal/journal"
 )
 
 // Watermarks is the coordinator's per-sensor high-watermark journal: the
@@ -20,20 +18,17 @@ import (
 // coordinator restart is dropped idempotently, which is what turns the wire
 // protocol's at-least-once retransmission into exactly-once ingest.
 //
-// The journal is an append-only framed log (one record per advance) with the
-// eventstore's torn-tail recovery; on open the last record per sensor wins.
-// It compacts to one record per sensor when the appended history grows past
-// a threshold. Each advance is written and fsynced before the batch is
-// acked, so an ack implies the watermark — and therefore the dedup decision
-// — survives even power loss. That ordering is load-bearing: once acked, the
-// sensor may prune the batch, and a watermark that regressed afterwards
-// would ask for a sequence nobody can resend.
+// The file is a journal log (see internal/journal) with one record per
+// advance; on open the highest record per sensor wins. It compacts to one
+// record per sensor when the appended history grows past a threshold. Each
+// advance is written and fsynced before the batch is acked, so an ack
+// implies the watermark — and therefore the dedup decision — survives even
+// power loss. That ordering is load-bearing: once acked, the sensor may
+// prune the batch, and a watermark that regressed afterwards would ask for a
+// sequence nobody can resend.
 type Watermarks struct {
 	mu    sync.Mutex
-	fs    fault.FS
-	f     fault.File
-	path  string
-	size  int64
+	log   *journal.Log
 	marks map[string]uint64
 }
 
@@ -55,62 +50,14 @@ func OpenWatermarksFS(fs fault.FS, dir string) (*Watermarks, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, "FLEET-WATERMARKS.log")
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	w := &Watermarks{marks: map[string]uint64{}}
+	l, err := journal.Open(fs, filepath.Join(dir, "FLEET-WATERMARKS.log"), wmMagic, journal.MaxRecordLen, func(payload []byte) error {
+		return mergeMark(w.marks, payload)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: watermarks: %w", err)
 	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	w := &Watermarks{fs: fs, f: f, path: path, marks: map[string]uint64{}}
-	switch {
-	case len(raw) < len(wmMagic) && bytes.Equal(raw, wmMagic[:len(raw)]):
-		// Empty, or a strict prefix of the magic: a crash tore the file's
-		// creation before the header fully reached disk. Nothing else can
-		// ever have been written, so reinitialize instead of refusing to
-		// open (which would wedge every restart until manual cleanup).
-		if _, err := f.Write(wmMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(len(wmMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.size = int64(len(wmMagic))
-	case len(raw) < len(wmMagic) || [8]byte(raw[:8]) != wmMagic:
-		f.Close()
-		return nil, fmt.Errorf("fleet: %s is not a watermark journal", path)
-	default:
-		good, _, err := eventstore.ScanFrames(raw[len(wmMagic):], func(payload []byte) error {
-			id, seq, err := decodeMark(payload)
-			if err != nil {
-				return err
-			}
-			if seq > w.marks[id] {
-				w.marks[id] = seq
-			}
-			return nil
-		})
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: %s: %w", path, err)
-		}
-		w.size = int64(len(wmMagic) + good)
-		if w.size < int64(len(raw)) {
-			if err := f.Truncate(w.size); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	if _, err := f.Seek(w.size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
+	w.log = l
 	return w, nil
 }
 
@@ -131,6 +78,33 @@ func decodeMark(b []byte) (string, uint64, error) {
 	return string(b[:n]), binary.LittleEndian.Uint64(b[n:]), nil
 }
 
+// mergeMark decodes one record into marks, keeping the max per sensor.
+func mergeMark(marks map[string]uint64, payload []byte) error {
+	id, seq, err := decodeMark(payload)
+	if err != nil {
+		return err
+	}
+	if seq > marks[id] {
+		marks[id] = seq
+	}
+	return nil
+}
+
+// encodeMarks frames one record per sensor, sorted by sensor id, so equal
+// marks always encode to equal bytes.
+func encodeMarks(marks map[string]uint64) []byte {
+	ids := make([]string, 0, len(marks))
+	for id := range marks {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var buf []byte
+	for _, id := range ids {
+		buf = journal.AppendFrame(buf, encodeMark(id, marks[id]))
+	}
+	return buf
+}
+
 // Get returns the sensor's high watermark (0 if never seen).
 func (w *Watermarks) Get(id string) uint64 {
 	w.mu.Lock()
@@ -147,21 +121,13 @@ func (w *Watermarks) Advance(id string, seq uint64) error {
 	if cur := w.marks[id]; seq <= cur {
 		return fmt.Errorf("fleet: watermark for %s would regress %d -> %d", id, cur, seq)
 	}
-	frame := eventstore.AppendFrame(nil, encodeMark(id, seq))
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("fleet: advancing watermark for %s: %w", id, err)
-	}
 	// The ack that follows this advance promises the sensor it may prune the
 	// batch, so the record must be on disk — not in the page cache — first.
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: syncing watermark for %s: %w", id, err)
+	if err := w.log.AppendSync(journal.AppendFrame(nil, encodeMark(id, seq))); err != nil {
+		return fmt.Errorf("fleet: advancing watermark for %s: %w", id, err)
 	}
-	w.size += int64(len(frame))
 	w.marks[id] = seq
-	if w.size >= wmCompactAt {
-		return w.compactLocked()
-	}
-	return nil
+	return w.maybeCompactLocked()
 }
 
 // AdvanceAll durably raises several sensors' watermarks with one write and
@@ -175,30 +141,32 @@ func (w *Watermarks) AdvanceAll(marks map[string]uint64) error {
 	var frames []byte
 	for id, seq := range marks {
 		if seq > w.marks[id] {
-			frames = eventstore.AppendFrame(frames, encodeMark(id, seq))
+			frames = journal.AppendFrame(frames, encodeMark(id, seq))
 		}
 	}
 	if len(frames) == 0 {
 		return nil
 	}
-	if _, err := w.f.Write(frames); err != nil {
-		return fmt.Errorf("fleet: advancing %d watermarks: %w", len(marks), err)
-	}
 	// One fsync covers every sensor in the group — the acks the committer
 	// releases next all depend on it.
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: syncing %d watermarks: %w", len(marks), err)
+	if err := w.log.AppendSync(frames); err != nil {
+		return fmt.Errorf("fleet: advancing %d watermarks: %w", len(marks), err)
 	}
-	w.size += int64(len(frames))
 	for id, seq := range marks {
 		if seq > w.marks[id] {
 			w.marks[id] = seq
 		}
 	}
-	if w.size >= wmCompactAt {
-		return w.compactLocked()
+	return w.maybeCompactLocked()
+}
+
+// maybeCompactLocked rewrites the journal as one record per sensor once it
+// has grown past the threshold.
+func (w *Watermarks) maybeCompactLocked() error {
+	if w.log.Size() < wmCompactAt {
+		return nil
 	}
-	return nil
+	return w.log.Rewrite(encodeMarks(w.marks), w.log.Size())
 }
 
 // adopt merges marks into memory without journalling. Used when the marks'
@@ -231,30 +199,14 @@ func (w *Watermarks) encodeWith(extra map[string]uint64) []byte {
 			merged[id] = seq
 		}
 	}
-	ids := make([]string, 0, len(merged))
-	for id := range merged {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var buf []byte
-	for _, id := range ids {
-		buf = eventstore.AppendFrame(buf, encodeMark(id, merged[id]))
-	}
-	return buf
+	return encodeMarks(merged)
 }
 
 // decodeMeta parses an encodeWith payload back into marks.
 func decodeMeta(b []byte) (map[string]uint64, error) {
 	out := map[string]uint64{}
-	good, _, err := eventstore.ScanFrames(b, func(payload []byte) error {
-		id, seq, err := decodeMark(payload)
-		if err != nil {
-			return err
-		}
-		if seq > out[id] {
-			out[id] = seq
-		}
-		return nil
+	good, _, err := journal.ScanFrames(b, func(payload []byte) error {
+		return mergeMark(out, payload)
 	})
 	if err != nil {
 		return nil, err
@@ -263,50 +215,6 @@ func decodeMeta(b []byte) (map[string]uint64, error) {
 		return nil, fmt.Errorf("fleet: %d stray bytes in watermark commit meta", len(b)-good)
 	}
 	return out, nil
-}
-
-// compactLocked rewrites the journal as one record per sensor. Failure
-// paths close the tmp handle and delete the tmp file.
-func (w *Watermarks) compactLocked() error {
-	ids := make([]string, 0, len(w.marks))
-	for id := range w.marks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	buf := append([]byte(nil), wmMagic[:]...)
-	for _, id := range ids {
-		buf = eventstore.AppendFrame(buf, encodeMark(id, w.marks[id]))
-	}
-	tmp := w.path + ".tmp"
-	if err := w.fs.WriteFile(tmp, buf, 0o644); err != nil {
-		w.fs.Remove(tmp)
-		return err
-	}
-	f, err := w.fs.OpenFile(tmp, os.O_RDWR, 0o644)
-	if err != nil {
-		w.fs.Remove(tmp)
-		return err
-	}
-	abort := func(err error) error {
-		f.Close()
-		w.fs.Remove(tmp)
-		return err
-	}
-	// The rewrite replaces records already acked as durable; it must hit the
-	// disk before it replaces the journal.
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if _, err := f.Seek(int64(len(buf)), 0); err != nil {
-		return abort(err)
-	}
-	if err := w.fs.Rename(tmp, w.path); err != nil {
-		return abort(err)
-	}
-	old := w.f
-	w.f = f
-	w.size = int64(len(buf))
-	return old.Close()
 }
 
 // All returns a copy of every sensor's watermark.
@@ -324,16 +232,16 @@ func (w *Watermarks) All() map[string]uint64 {
 func (w *Watermarks) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.f.Sync()
+	return w.log.Sync()
 }
 
 // Close syncs and closes the journal.
 func (w *Watermarks) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
+	err := w.log.Sync()
+	if cerr := w.log.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }

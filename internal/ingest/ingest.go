@@ -34,6 +34,7 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/journal"
 	"repro/internal/pcapio"
 	"repro/internal/registry"
 	"repro/internal/tcpasm"
@@ -375,44 +376,18 @@ func (p *Pipeline) loadCheckpoint() (checkpoint, bool) {
 	return checkpoint{Segment: seg, Offset: off}, true
 }
 
-// saveCheckpoint persists ck with write-to-tmp, fsync, rename. The fsync
-// before the rename is load-bearing: without it a crash shortly after the
-// rename can leave an empty checkpoint file, which reads as "no checkpoint"
-// and re-ingests the whole capture — every event since the beginning would
-// re-ship under fresh sequence numbers and apply twice. Failure paths close
-// the tmp handle and delete the tmp file.
+// saveCheckpoint persists ck atomically. An empty or torn checkpoint file
+// would read as "no checkpoint" and re-ingest the whole capture — every
+// event since the beginning would re-ship under fresh sequence numbers and
+// apply twice — so it goes through journal.WriteFileAtomic's fsync-then-
+// rename.
 func (p *Pipeline) saveCheckpoint(ck checkpoint) error {
 	path := p.checkpointPath()
 	if ck.Segment == "" || path == "" {
 		return nil
 	}
-	fs := fault.Or(p.cfg.FS)
-	tmp := path + ".tmp"
 	data := fmt.Sprintf("%s %d\n", ck.Segment, ck.Offset)
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write([]byte(data)); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	return nil
+	return journal.WriteFileAtomic(fault.Or(p.cfg.FS), path, []byte(data))
 }
 
 // noteCheckpoint records a candidate position. The caller (the tailer)

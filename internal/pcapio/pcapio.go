@@ -194,9 +194,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the file's link type.
 func (r *Reader) LinkType() uint32 { return r.linkType }
 
-// Snaplen returns the file's snap length.
-func (r *Reader) Snaplen() uint32 { return r.snaplen }
-
 // NanoPrecision reports whether timestamps carry nanosecond precision.
 func (r *Reader) NanoPrecision() bool { return r.nano }
 

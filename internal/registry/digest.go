@@ -1,18 +1,16 @@
 package registry
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/journal"
 	"repro/internal/packet"
 	"repro/internal/tcpasm"
 )
@@ -25,11 +23,12 @@ import (
 // tcpasm.Session from the digest and re-runs the engine cold; when the
 // effective label differs from the recorded one, it emits an amendment.
 //
-// digests.log shares the event store's frame codec (records stay far below
-// its 1 MB bound given the sample caps) behind its own magic. Appends are
-// buffered in the OS; Sync is called from the ingest checkpoint path so
-// digest durability rides the same cadence as event durability. A lost tail
-// after a crash costs re-attribution coverage for the lost sessions only.
+// digests.log is a journal log (see internal/journal; records stay far
+// below its default 1 MB cap given the sample caps) behind its own magic.
+// Appends are buffered in the OS; Sync is called from the ingest checkpoint
+// path so digest durability rides the same cadence as event durability. A
+// lost tail after a crash costs re-attribution coverage for the lost
+// sessions only.
 
 var digestMagic = [8]byte{'S', 'D', 'I', 'G', 0x01, 0x01, 0x01, '\n'}
 
@@ -215,65 +214,24 @@ type digestLog struct {
 	fs   fault.FS
 	path string
 
-	mu   sync.Mutex
-	f    fault.File
-	size int64
-	bad  error
-	n    int64 // recovered + appended record count
+	mu  sync.Mutex
+	log *journal.Log
+	n   int64 // recovered + appended record count
 }
 
 func openDigestLog(fs fault.FS, dir string) (*digestLog, error) {
-	path := filepath.Join(dir, "digests.log")
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	l := &digestLog{fs: fs, path: filepath.Join(dir, "digests.log")}
+	jl, err := journal.Open(fs, l.path, digestMagic, journal.MaxRecordLen, func(payload []byte) error {
+		if _, err := decodeDigest(payload); err != nil {
+			return err
+		}
+		l.n++
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("registry: digest log: %w", err)
 	}
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &digestLog{fs: fs, path: path, f: f}
-	var size int64
-	switch {
-	case len(raw) < len(digestMagic) && bytes.Equal(raw, digestMagic[:len(raw)]):
-		if _, err := f.Write(digestMagic[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(len(digestMagic))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		size = int64(len(digestMagic))
-	case [8]byte(raw[:8]) != digestMagic:
-		f.Close()
-		return nil, fmt.Errorf("registry: %s is not a digest log", path)
-	default:
-		good, _, err := eventstore.ScanFrames(raw[len(digestMagic):], func(payload []byte) error {
-			if _, derr := decodeDigest(payload); derr != nil {
-				return derr
-			}
-			l.n++
-			return nil
-		})
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("registry: %s: %w", path, err)
-		}
-		size = int64(len(digestMagic) + good)
-		if size < int64(len(raw)) {
-			if err := f.Truncate(size); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	if _, err := f.Seek(size, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.size = size
+	l.log = jl
 	return l, nil
 }
 
@@ -285,22 +243,13 @@ func (l *digestLog) Append(ds []Digest) error {
 	var buf, payload []byte
 	for i := range ds {
 		payload = appendDigest(payload[:0], &ds[i])
-		buf = eventstore.AppendFrame(buf, payload)
+		buf = journal.AppendFrame(buf, payload)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.bad != nil {
-		return l.bad
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.bad = fmt.Errorf("registry: digest log poisoned: %w", terr)
-		} else {
-			l.f.Seek(l.size, 0)
-		}
+	if err := l.log.Append(buf); err != nil {
 		return fmt.Errorf("registry: appending digests: %w", err)
 	}
-	l.size += int64(len(buf))
 	l.n += int64(len(ds))
 	return nil
 }
@@ -309,7 +258,7 @@ func (l *digestLog) Append(ds []Digest) error {
 func (l *digestLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Sync()
+	return l.log.Sync()
 }
 
 // Len returns the record count.
@@ -327,10 +276,10 @@ func (l *digestLog) walk(fn func(Digest) error) error {
 	if err != nil {
 		return err
 	}
-	if len(raw) < len(digestMagic) {
+	if len(raw) < journal.HeaderLen {
 		return nil
 	}
-	_, _, err = eventstore.ScanFrames(raw[len(digestMagic):], func(payload []byte) error {
+	_, _, err = journal.ScanFrames(raw[journal.HeaderLen:], func(payload []byte) error {
 		d, derr := decodeDigest(payload)
 		if derr != nil {
 			return derr

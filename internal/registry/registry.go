@@ -34,6 +34,7 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/journal"
 	"repro/internal/rules"
 )
 
@@ -354,7 +355,7 @@ func (r *Registry) Close() error {
 		return nil
 	}
 	err := r.journal.Close()
-	if derr := r.digests.f.Close(); derr != nil && err == nil {
+	if derr := r.digests.log.Close(); derr != nil && err == nil {
 		err = derr
 	}
 	return err
@@ -382,12 +383,8 @@ func (c *dirCache) Load(key string) []byte {
 }
 
 func (c *dirCache) Store(key string, data []byte) {
-	// Write-then-rename so a crash mid-store never leaves a torn cache file
-	// under the final name (ids validates on load anyway; this keeps the
-	// common path clean).
-	tmp := c.path(key) + ".tmp"
-	if err := c.fs.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	c.fs.Rename(tmp, c.path(key))
+	// Atomic so a crash mid-store never leaves a torn cache file under the
+	// final name (ids validates on load anyway; this keeps the common path
+	// clean). A failed store costs a rebuild, nothing else.
+	_ = journal.WriteFileAtomic(c.fs, c.path(key), data)
 }

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,8 +10,11 @@ import (
 	"time"
 
 	"repro/internal/eventstore"
+	"repro/internal/fault"
 	"repro/internal/fuzzcorpus"
 	"repro/internal/ids"
+	"repro/internal/journal"
+	"repro/internal/journal/journaltest"
 	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/tcpasm"
@@ -379,4 +384,30 @@ func TestRegenFuzzRulesetJournalCorpus(t *testing.T) {
 		append(append([]byte{}, b...), 0xde, 0xad, 0xbe, 0xef),
 	}
 	fuzzcorpus.Write(t, "FuzzRulesetJournal", seeds)
+}
+
+// TestLogRecoveryTable runs the shared header/recovery table against the
+// ruleset journal and the digest log.
+func TestLogRecoveryTable(t *testing.T) {
+	open := func(fs fault.FS, dir string) error {
+		r, err := Open(Config{Dir: dir, FS: fs})
+		if err != nil {
+			return err
+		}
+		return r.Close()
+	}
+	var text bytes.Buffer
+	if err := rules.WriteDatedRuleset(&text, []rules.DatedRule{
+		datedRule(t, `alert tcp any any -> any any (msg:"table"; content:"abc"; sid:1; rev:1;)`, earlyPub),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	entry := append(binary.LittleEndian.AppendUint64(nil, 1), text.Bytes()...)
+	digest := Digest{Start: earlyPub, ClientData: []byte("GET / HTTP/1.1\r\n\r\n"), Complete: true}
+	journaltest.RunRecoveryTable(t,
+		journaltest.Log{Name: "ruleset", File: "ruleset.journal", Magic: journalMagic, MaxRecord: maxJournalEntry,
+			Record: entry, Open: open},
+		journaltest.Log{Name: "digests", File: "digests.log", Magic: digestMagic, MaxRecord: journal.MaxRecordLen,
+			Record: appendDigest(nil, &digest), Open: open},
+	)
 }

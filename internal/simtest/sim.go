@@ -110,6 +110,8 @@ func (r *Result) String() string {
 // batchTruth caches the fault-free batch run per (seed, scale): every
 // simulation seed compares against the same ground truth, so recomputing it
 // per seed would dominate the run.
+// truthMu also guards each cached truth's byShard memo, which parallel
+// seeds fill in concurrently.
 var (
 	truthMu sync.Mutex
 	truths  = map[[2]int64]*truth{}
@@ -146,6 +148,8 @@ func batchTruth(scale int) (*truth, error) {
 }
 
 func (tr *truth) shardCounts(shards int) []int {
+	truthMu.Lock()
+	defer truthMu.Unlock()
 	if c, ok := tr.byShard[shards]; ok {
 		return c
 	}

@@ -144,9 +144,6 @@ func NewSharded(cfg Config, feeders int) *Sharded {
 // Feeder returns producer i's feeder handle.
 func (s *Sharded) Feeder(i int) *Feeder { return s.fdrs[i] }
 
-// NumShards reports the shard count in effect (after defaulting).
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // run is one shard worker. Feeder queues are consumed strictly in feeder
 // order: feeders map to capture segments in time order, so a flow spanning
 // segments is applied in capture order. The priority is identical on every

@@ -156,19 +156,6 @@ func (q *SessionSeq) Next() (tcpasm.Session, bool) {
 	return q.t.Session(bp), true
 }
 
-// EachSession drains src through yield, stopping at the first error.
-func (t *Telescope) EachSession(src BlueprintSource, yield func(tcpasm.Session) error) error {
-	for {
-		bp, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := yield(t.Session(bp)); err != nil {
-			return err
-		}
-	}
-}
-
 // Sessions materializes a whole workload (the fast path used by large
 // experiments; byte-identical analysis inputs to the pcap path). It is a
 // thin wrapper over SessionSeq.

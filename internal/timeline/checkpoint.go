@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/eventstore"
 	"repro/internal/ids"
+	"repro/internal/journal"
 	"repro/internal/lifecycle"
 )
 
@@ -91,9 +91,9 @@ func encodeCheckpoint(seq uint64, k int, cut, writtenAt time.Time, agg *Aggregat
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
 	hdr = appendSegTime(hdr, cut)
 	hdr = appendSegTime(hdr, writtenAt)
-	buf = eventstore.AppendFrame(buf, hdr)
-	buf = eventstore.AppendFrame(buf, agg.Stats.AppendBinary([]byte{tagStats}))
-	buf = eventstore.AppendFrame(buf, agg.Life.AppendBinary([]byte{tagLife}))
+	buf = journal.AppendFrame(buf, hdr)
+	buf = journal.AppendFrame(buf, agg.Stats.AppendBinary([]byte{tagStats}))
+	buf = journal.AppendFrame(buf, agg.Life.AppendBinary([]byte{tagLife}))
 	return buf
 }
 
@@ -107,7 +107,7 @@ func parseCheckpoint(path string, raw []byte) (*ckptMeta, *Aggregate, error) {
 	}
 	meta := &ckptMeta{path: path, K: -1, SizeBytes: int64(len(raw))}
 	agg := &Aggregate{}
-	_, clean, err := eventstore.ScanFrames(raw[len(ckptMagic):], func(payload []byte) error {
+	_, clean, err := journal.ScanFrames(raw[len(ckptMagic):], func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}

@@ -4,18 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"time"
 
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/journal"
 )
 
 // On-disk segment format. A segment file is:
 //
 //	8-byte magic "TLSEG\x00\x01\n"
-//	repeated eventstore.AppendFrame records, each payload tagged by its
+//	repeated journal.AppendFrame records, each payload tagged by its
 //	first byte:
 //
 //	  'H' header   u32 version | u64 seq | u32 shards | shards x u64
@@ -107,7 +107,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	header = binary.LittleEndian.AppendUint32(header, uint32(len(events)))
 	header = appendSegTime(header, minT)
 	header = appendSegTime(header, maxT)
-	buf = eventstore.AppendFrame(buf, header)
+	buf = journal.AppendFrame(buf, header)
 
 	// Event frames, recording every timeIndexEvery-th frame's offset for the
 	// sparse index, and per-CVE ordinals for the CVE index.
@@ -128,7 +128,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		}
 		payload = append(payload[:0], tagEvent)
 		payload = eventstore.EncodeEvent(payload, &events[i])
-		buf = eventstore.AppendFrame(buf, payload)
+		buf = journal.AppendFrame(buf, payload)
 	}
 
 	tIdx := []byte{tagTime}
@@ -139,7 +139,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		tIdx = binary.LittleEndian.AppendUint64(tIdx, uint64(e.off))
 		tIdx = binary.LittleEndian.AppendUint32(tIdx, e.ordinal)
 	}
-	buf = eventstore.AppendFrame(buf, tIdx)
+	buf = journal.AppendFrame(buf, tIdx)
 
 	cves := make([]string, 0, len(cveOrds))
 	for cve := range cveOrds {
@@ -157,7 +157,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 			cIdx = binary.LittleEndian.AppendUint32(cIdx, o)
 		}
 	}
-	buf = eventstore.AppendFrame(buf, cIdx)
+	buf = journal.AppendFrame(buf, cIdx)
 
 	bloom := newBloom(len(cves))
 	for _, cve := range cves {
@@ -167,7 +167,7 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	bIdx = binary.LittleEndian.AppendUint32(bIdx, bloomHashes)
 	bIdx = binary.LittleEndian.AppendUint64(bIdx, uint64(bloom.mBits))
 	bIdx = append(bIdx, bloom.bits...)
-	buf = eventstore.AppendFrame(buf, bIdx)
+	buf = journal.AppendFrame(buf, bIdx)
 
 	return buf
 }
@@ -205,7 +205,7 @@ func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 		return nil, fmt.Errorf("timeline: %s is not a segment file", path)
 	}
 	m := &segmentMeta{path: path, Count: -1, SizeBytes: int64(len(raw))}
-	good, clean, err := eventstore.ScanFrames(raw[len(segMagic):], func(payload []byte) error {
+	good, clean, err := journal.ScanFrames(raw[len(segMagic):], func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
@@ -389,7 +389,7 @@ func (m *segmentMeta) scanRange(fs fault.FS, hasLo bool, lo, hi time.Time, fn fu
 		return fmt.Errorf("timeline: %s: index offset %d beyond file (%d bytes)", m.path, start, len(raw))
 	}
 	stop := fmt.Errorf("stop") //nolint:err113 — internal scan sentinel
-	_, _, err = eventstore.ScanFrames(raw[start:], func(payload []byte) error {
+	_, _, err = journal.ScanFrames(raw[start:], func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
@@ -453,7 +453,7 @@ func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids
 	}
 	last := ords[len(ords)-1]
 	stop := fmt.Errorf("stop") //nolint:err113
-	_, _, err = eventstore.ScanFrames(raw[start:], func(payload []byte) error {
+	_, _, err = journal.ScanFrames(raw[start:], func(payload []byte) error {
 		if len(payload) == 0 {
 			return fmt.Errorf("empty frame")
 		}
@@ -485,38 +485,6 @@ func (m *segmentMeta) scanCVE(fs fault.FS, cve string, hi time.Time, fn func(ids
 	}
 	if err != nil {
 		return fmt.Errorf("timeline: %s: %w", m.path, err)
-	}
-	return nil
-}
-
-// writeFileAtomic writes data to path via a fully fsynced temp file and a
-// rename — the only way segment and checkpoint files come into existence, so
-// a listed file is complete by construction. On any failure the temp file is
-// removed; a crash between write and rename leaves a *.tmp that recovery
-// deletes.
-func writeFileAtomic(fs fault.FS, tmp, path string, data []byte) error {
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fs.Remove(tmp) // best effort; recovery also sweeps *.tmp
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return err
 	}
 	return nil
 }

@@ -43,6 +43,7 @@ import (
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
+	"repro/internal/journal"
 )
 
 // Config configures an Engine.
@@ -279,9 +280,8 @@ func (e *Engine) Seal() (bool, error) {
 
 	seq := uint64(len(e.segments))
 	path := e.dir + "/" + segmentName(seq)
-	tmp := e.dir + "/" + fmt.Sprintf("segment-%06d.tmp", seq)
 	data := encodeSegment(seq, counts, batch)
-	if err := writeFileAtomic(e.fs, tmp, path, data); err != nil {
+	if err := journal.WriteFileAtomic(e.fs, path, data); err != nil {
 		return false, fmt.Errorf("timeline: sealing segment %d: %w", seq, err)
 	}
 	m, err := parseSegment(path, data)
@@ -303,18 +303,6 @@ func (e *Engine) Seal() (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Checkpoint forces a checkpoint covering every sealed segment now,
-// regardless of CheckpointEvery. No-op if one already covers them all.
-func (e *Engine) Checkpoint() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.checkpoints); len(e.segments) == 0 ||
-		(n > 0 && e.checkpoints[n-1].K == len(e.segments)) {
-		return nil
-	}
-	return e.writeCheckpointLocked()
 }
 
 // writeCheckpointLocked builds and durably writes a checkpoint covering all
@@ -359,10 +347,9 @@ func (e *Engine) writeCheckpointLocked() error {
 		seq = e.checkpoints[n-1].Seq + 1
 	}
 	path := e.dir + "/" + checkpointName(seq)
-	tmp := e.dir + "/" + fmt.Sprintf("ckpt-%06d.tmp", seq)
 	writtenAt := time.Now().UTC()
 	data := encodeCheckpoint(seq, k, cut, writtenAt, agg)
-	if err := writeFileAtomic(e.fs, tmp, path, data); err != nil {
+	if err := journal.WriteFileAtomic(e.fs, path, data); err != nil {
 		return err
 	}
 	e.checkpoints = append(e.checkpoints, &ckptMeta{
@@ -434,11 +421,4 @@ func (e *Engine) Metrics() Metrics {
 // (loadAggregate itself takes no engine lock, just the cache mutex).
 func (e *Engine) loadAggregateRLocked(c *ckptMeta) (*Aggregate, error) {
 	return e.loadAggregate(c)
-}
-
-// SegmentCount reports the number of sealed segments.
-func (e *Engine) SegmentCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.segments)
 }
