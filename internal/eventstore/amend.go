@@ -1,11 +1,11 @@
 package eventstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"path/filepath"
 
+	"repro/internal/binfmt"
 	"repro/internal/ids"
 	"repro/internal/journal"
 )
@@ -67,36 +67,12 @@ func keyOfEvent(ev *ids.Event) sessionKey {
 // store's amendment resolution and the timeline's overlay.
 func SessionKeyOf(ev *ids.Event) any { return keyOfEvent(ev) }
 
-func appendAmendment(buf []byte, a *Amendment) []byte {
-	buf = appendEvent(buf, &a.Event)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.OrigSID))
-	buf = appendString16(buf, a.OrigCVE)
-	buf = binary.LittleEndian.AppendUint64(buf, a.Gen)
-	return buf
-}
-
-func decodeAmendment(b []byte) (Amendment, error) {
-	var a Amendment
-	d := decoder{b: b}
-	a.Event = decodeEventFields(&d)
-	a.OrigSID = int(d.u32())
-	a.OrigCVE = d.string16()
-	a.Gen = d.u64()
-	if d.err != nil {
-		return Amendment{}, d.err
-	}
-	if len(d.b) != 0 {
-		return Amendment{}, fmt.Errorf("eventstore: %d stray bytes after amendment", len(d.b))
-	}
-	return a, nil
-}
-
 // openAmendLog opens (creating if needed) dir/amend.log, recovering intact
 // records and truncating any torn tail.
 func (s *Store) openAmendLog() error {
 	var amends []Amendment
 	l, err := journal.Open(s.fs, filepath.Join(s.dir, "amend.log"), amendMagic, journal.MaxRecordLen, func(payload []byte) error {
-		a, err := decodeAmendment(payload)
+		a, err := DecodeAmendment(payload)
 		if err != nil {
 			return err
 		}
@@ -125,7 +101,7 @@ func (s *Store) AppendAmendments(as []Amendment) error {
 	var buf []byte
 	var payload []byte
 	for i := range as {
-		payload = appendAmendment(payload[:0], &as[i])
+		payload = EncodeAmendment(payload[:0], &as[i])
 		buf = journal.AppendFrame(buf, payload)
 	}
 	s.amendMu.Lock()
@@ -212,14 +188,26 @@ func ApplyAmendments(events []ids.Event, as []Amendment) []ids.Event {
 
 // EncodeAmendment appends a's wire encoding to buf — the same record format
 // amend.log frames on disk, exported so the replica protocol can ship
-// amendment records verbatim.
+// amendment records verbatim: an EncodeEvent payload, then u32 OrigSID,
+// u16-length OrigCVE and u64 Gen.
 func EncodeAmendment(buf []byte, a *Amendment) []byte {
-	return appendAmendment(buf, a)
+	buf = EncodeEvent(buf, &a.Event)
+	buf = binfmt.AppendU32(buf, uint32(a.OrigSID))
+	buf = binfmt.AppendString16(buf, a.OrigCVE)
+	return binfmt.AppendU64(buf, a.Gen)
 }
 
 // DecodeAmendment decodes one EncodeAmendment payload.
 func DecodeAmendment(b []byte) (Amendment, error) {
-	return decodeAmendment(b)
+	d := binfmt.NewDecoder(b)
+	a := Amendment{Event: decodeEventFields(&d)}
+	a.OrigSID = int(d.U32())
+	a.OrigCVE = d.String16()
+	a.Gen = d.U64()
+	if err := d.Finish(); err != nil {
+		return Amendment{}, fmt.Errorf("eventstore: amendment: %w", err)
+	}
+	return a, nil
 }
 
 // AmendmentStats summarizes the resolved amendment set for metrics.

@@ -1,10 +1,10 @@
 package eventstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 
+	"repro/internal/binfmt"
 	"repro/internal/fault"
 	"repro/internal/journal"
 )
@@ -26,6 +26,8 @@ import (
 // The file is a journal log (see internal/journal). Record payload:
 //
 //	u32 shardCount | shardCount x u64 committed size | u32 metaLen | meta
+//
+// shardCount is at least 1 and at most 1<<16.
 //
 // The journal compacts to its newest record, through journal.Rewrite, once
 // it grows past a threshold.
@@ -55,9 +57,18 @@ type commitJournal struct {
 func openCommitJournal(fs fault.FS, dir string) (*commitJournal, error) {
 	j := &commitJournal{}
 	l, err := journal.Open(fs, filepath.Join(dir, commitLogName), commitMagic, journal.MaxRecordLen, func(payload []byte) error {
-		rec, err := decodeCommitRecord(payload)
-		if err != nil {
-			return err
+		d := binfmt.NewDecoder(payload)
+		n := d.Count(8)
+		if d.Err() == nil && (n == 0 || n > 1<<16) {
+			return fmt.Errorf("eventstore: commit record declares %d shards", n)
+		}
+		rec := &commitRecord{sizes: make([]int64, n)}
+		for i := range rec.sizes {
+			rec.sizes[i] = int64(d.U64())
+		}
+		rec.meta = append([]byte(nil), d.Bytes32()...)
+		if err := d.Finish(); err != nil {
+			return fmt.Errorf("eventstore: commit record: %w", err)
 		}
 		j.last = rec
 		return nil
@@ -70,35 +81,11 @@ func openCommitJournal(fs fault.FS, dir string) (*commitJournal, error) {
 }
 
 func encodeCommitRecord(sizes []int64, meta []byte) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(sizes)))
+	buf := binfmt.AppendU32(nil, uint32(len(sizes)))
 	for _, n := range sizes {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+		buf = binfmt.AppendU64(buf, uint64(n))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
-	return append(buf, meta...)
-}
-
-func decodeCommitRecord(b []byte) (*commitRecord, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("eventstore: commit record truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n <= 0 || n > 1<<16 || len(b) < n*8+4 {
-		return nil, fmt.Errorf("eventstore: commit record declares %d shards in %d bytes", n, len(b))
-	}
-	rec := &commitRecord{sizes: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		rec.sizes[i] = int64(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-	metaLen := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != metaLen {
-		return nil, fmt.Errorf("eventstore: commit record meta is %d bytes, declared %d", len(b), metaLen)
-	}
-	rec.meta = append([]byte(nil), b...)
-	return rec, nil
+	return binfmt.AppendBytes32(buf, meta)
 }
 
 // append writes and fsyncs one record, making it the recovery point. The

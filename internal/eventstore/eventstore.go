@@ -257,7 +257,7 @@ func openShard(fs fault.FS, path string, committed int64) (*shard, int, error) {
 		if committed >= journal.HeaderLen && end > committed {
 			return journal.Stop
 		}
-		ev, err := decodeEvent(payload)
+		ev, err := DecodeEvent(payload)
 		if err != nil {
 			return err
 		}
@@ -333,7 +333,7 @@ func (s *Store) AppendBatchFunc(events []ids.Event, applied func()) error {
 	for k, si := range order {
 		var buf []byte
 		for i := range groups[si] {
-			payload = appendEvent(payload[:0], &groups[si][i])
+			payload = EncodeEvent(payload[:0], &groups[si][i])
 			buf = journal.AppendFrame(buf, payload)
 		}
 		bufs[k] = buf

@@ -50,8 +50,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		},
 	}
 	for i, ev := range cases {
-		payload := appendEvent(nil, &ev)
-		got, err := decodeEvent(payload)
+		payload := EncodeEvent(nil, &ev)
+		got, err := DecodeEvent(payload)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -62,13 +62,13 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeEventRejectsGarbage(t *testing.T) {
-	payload := appendEvent(nil, &ids.Event{CVE: "2021-44228", Msg: "m"})
+	payload := EncodeEvent(nil, &ids.Event{CVE: "2021-44228", Msg: "m"})
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeEvent(payload[:cut]); err == nil {
+		if _, err := DecodeEvent(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := decodeEvent(append(payload, 0xff)); err == nil {
+	if _, err := DecodeEvent(append(payload, 0xff)); err == nil {
 		t.Fatal("stray trailing byte accepted")
 	}
 }

@@ -22,9 +22,9 @@ func TestLogRecoveryTable(t *testing.T) {
 	amend := Amendment{Event: ev, OrigSID: ev.SID, OrigCVE: ev.CVE, Gen: 1}
 	journaltest.RunRecoveryTable(t,
 		journaltest.Log{Name: "shard", File: shardName(0), Magic: fileMagic, MaxRecord: journal.MaxRecordLen,
-			Record: appendEvent(nil, &ev), Open: open},
+			Record: EncodeEvent(nil, &ev), Open: open},
 		journaltest.Log{Name: "amend", File: "amend.log", Magic: amendMagic, MaxRecord: journal.MaxRecordLen,
-			Record: appendAmendment(nil, &amend), Open: open},
+			Record: EncodeAmendment(nil, &amend), Open: open},
 		journaltest.Log{Name: "commits", File: commitLogName, Magic: commitMagic, MaxRecord: journal.MaxRecordLen,
 			Record: encodeCommitRecord([]int64{journal.HeaderLen}, nil), Open: open},
 	)

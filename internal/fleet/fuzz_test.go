@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/fuzzcorpus"
+	"repro/internal/journal"
 )
 
 func fuzzReadFrameSeeds(tb testing.TB) [][]byte {
@@ -73,6 +76,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	}
 	fuzzcorpus.Write(t, "FuzzReadFrame", fuzzReadFrameSeeds(t))
 	fuzzcorpus.Write(t, "FuzzDecodeBatch", fuzzDecodeBatchSeeds(t))
+	fuzzcorpus.Write(t, "FuzzSpoolBatch", fuzzSpoolBatchSeeds(t))
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the wire framing — the first thing
@@ -165,6 +169,76 @@ func FuzzDecodeBatch(f *testing.F) {
 			if !eventsEqual(back.Events[i], m.Events[i]) {
 				t.Fatalf("re-encode round trip: event %d differs", i)
 			}
+		}
+	})
+}
+
+func fuzzSpoolBatchSeeds(tb testing.TB) [][]byte {
+	valid := encodeSpoolBatch(7, testEvents(tb, 3))
+	// A record declaring far more events than its bytes can hold — the
+	// count once sized the recovered slice unchecked.
+	countLie := binary.LittleEndian.AppendUint64(nil, 1)
+	countLie = binary.LittleEndian.AppendUint32(countLie, 0xffffffff)
+	return [][]byte{
+		valid,
+		encodeSpoolBatch(1, nil),
+		valid[:len(valid)-1],
+		append(append([]byte(nil), valid...), 0),
+		valid[:20], // count of 3, first event frame torn
+		countLie,
+		{},
+	}
+}
+
+// recoverSpool opens a spool whose log holds payload as its one record and
+// returns the batches recovery adopted.
+func recoverSpool(t *testing.T, payload []byte) ([]spoolBatch, error) {
+	fs := fault.NewSimFS(1, fault.Profile{})
+	file := journal.AppendFrame(append([]byte(nil), spoolMagic[:]...), payload)
+	if err := fs.WriteFile("spool.log", file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := openSpool(fs, ".")
+	if err != nil {
+		return nil, err
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sp.pending, nil
+}
+
+// FuzzSpoolBatch feeds arbitrary bytes as one spooled batch record through
+// spool recovery — the path a sensor runs on every restart over whatever
+// its disk holds. Recovery must never panic or allocate more than a fixed
+// multiple of the record (its event count is bounded by the bytes present,
+// at a worst case of one 168-byte ids.Event per 4-byte frame prefix), and
+// a recovered batch must re-encode to a record that recovers to the same
+// sequence and events.
+func FuzzSpoolBatch(f *testing.F) {
+	for _, seed := range fuzzSpoolBatchSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got []spoolBatch
+		var err error
+		alloc := fuzzcorpus.AllocatedBytes(func() { got, err = recoverSpool(t, data) })
+		if limit := 64*uint64(len(data)) + 64<<10; alloc > limit {
+			t.Fatalf("recovering a %d-byte record allocated %d, limit %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		if len(got) != 1 {
+			t.Fatalf("recovered %d batches from one record", len(got))
+		}
+		back, err := recoverSpool(t, encodeSpoolBatch(got[0].seq, got[0].events))
+		if err != nil {
+			t.Fatalf("re-encoded batch does not recover: %v", err)
+		}
+		if back[0].seq != got[0].seq || !reflect.DeepEqual(back[0].events, got[0].events) {
+			t.Fatalf("re-encoded batch recovered as seq %d with %d events, want seq %d with %d",
+				back[0].seq, len(back[0].events), got[0].seq, len(got[0].events))
 		}
 	})
 }

@@ -58,9 +58,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net/netip"
 
+	"repro/internal/binfmt"
 	"repro/internal/eventstore"
 	"repro/internal/ids"
 	"repro/internal/journal"
@@ -186,25 +186,25 @@ type hello struct {
 
 func (h *hello) encode() []byte {
 	buf := []byte{msgHello, h.Version}
-	buf = appendString16(buf, h.SensorID)
-	buf = binary.LittleEndian.AppendUint32(buf, h.ShardIndex)
-	buf = binary.LittleEndian.AppendUint32(buf, h.ShardCount)
+	buf = binfmt.AppendString16(buf, h.SensorID)
+	buf = binfmt.AppendU32(buf, h.ShardIndex)
+	buf = binfmt.AppendU32(buf, h.ShardCount)
 	return append(buf, byte(h.Codec))
 }
 
 func decodeHello(b []byte) (hello, error) {
-	d := wireDecoder{b: b}
+	d := binfmt.NewDecoder(b)
 	var h hello
-	if t := d.u8(); t != msgHello {
+	if t := d.U8(); t != msgHello {
 		return h, fmt.Errorf("fleet: expected Hello, got message type %d", t)
 	}
-	h.Version = d.u8()
-	h.SensorID = d.string16()
-	h.ShardIndex = d.u32()
-	h.ShardCount = d.u32()
-	h.Codec = Codec(d.u8())
-	if err := d.finish("Hello"); err != nil {
-		return h, err
+	h.Version = d.U8()
+	h.SensorID = d.String16()
+	h.ShardIndex = d.U32()
+	h.ShardCount = d.U32()
+	h.Codec = Codec(d.U8())
+	if err := d.Finish(); err != nil {
+		return h, fmt.Errorf("fleet: Hello: %w", err)
 	}
 	if h.Version != ProtocolVersion {
 		return h, fmt.Errorf("fleet: protocol version %d, want %d", h.Version, ProtocolVersion)
@@ -225,20 +225,19 @@ type helloAck struct {
 }
 
 func (h *helloAck) encode() []byte {
-	buf := []byte{msgHelloAck, h.Version}
-	return binary.LittleEndian.AppendUint64(buf, h.Watermark)
+	return binfmt.AppendU64([]byte{msgHelloAck, h.Version}, h.Watermark)
 }
 
 func decodeHelloAck(b []byte) (helloAck, error) {
-	d := wireDecoder{b: b}
+	d := binfmt.NewDecoder(b)
 	var h helloAck
-	if t := d.u8(); t != msgHelloAck {
+	if t := d.U8(); t != msgHelloAck {
 		return h, fmt.Errorf("fleet: expected HelloAck, got message type %d", t)
 	}
-	h.Version = d.u8()
-	h.Watermark = d.u64()
-	if err := d.finish("HelloAck"); err != nil {
-		return h, err
+	h.Version = d.U8()
+	h.Watermark = d.U64()
+	if err := d.Finish(); err != nil {
+		return h, fmt.Errorf("fleet: HelloAck: %w", err)
 	}
 	if h.Version != ProtocolVersion {
 		return h, fmt.Errorf("fleet: coordinator speaks version %d, want %d", h.Version, ProtocolVersion)
@@ -253,8 +252,8 @@ type batchMsg struct {
 }
 
 // encodeBatch encodes and compresses a batch. Events are concatenated as
-// framed EncodeEvent payloads (u32 length | bytes), then the concatenation is
-// compressed with the given codec.
+// event frames (see appendEventFrames), then the concatenation is compressed
+// with the given codec.
 func encodeBatch(seq uint64, events []ids.Event, codec Codec) ([]byte, error) {
 	buf, _, err := encodeBatchScratch(nil, nil, seq, events, codec)
 	return buf, err
@@ -265,18 +264,12 @@ func encodeBatch(seq uint64, events []ids.Event, codec Codec) ([]byte, error) {
 // loop reuses two buffers instead of allocating both per batch. Returns the
 // encoded message and the (possibly grown) raw scratch.
 func encodeBatchScratch(dst, raw []byte, seq uint64, events []ids.Event, codec Codec) ([]byte, []byte, error) {
-	raw = raw[:0]
-	var tmp []byte
-	for i := range events {
-		tmp = eventstore.EncodeEvent(tmp[:0], &events[i])
-		raw = binary.LittleEndian.AppendUint32(raw, uint32(len(tmp)))
-		raw = append(raw, tmp...)
-	}
+	raw = appendEventFrames(raw[:0], events)
 	buf := append(dst[:0], msgBatch)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binfmt.AppendU64(buf, seq)
 	buf = append(buf, byte(codec))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(events)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(raw)))
+	buf = binfmt.AppendU32(buf, uint32(len(events)))
+	buf = binfmt.AppendU32(buf, uint32(len(raw)))
 	switch codec {
 	case CodecRaw:
 		buf = append(buf, raw...)
@@ -313,17 +306,18 @@ func decodeBatch(b []byte) (batchMsg, error) {
 // (possibly grown) buffer is returned for the next call. Safe to reuse
 // immediately — decoded events never alias it (DecodeEvent copies).
 func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
-	d := wireDecoder{b: b}
+	d := binfmt.NewDecoder(b)
 	var m batchMsg
-	if t := d.u8(); t != msgBatch {
+	if t := d.U8(); t != msgBatch {
 		return m, scratch, fmt.Errorf("fleet: expected Batch, got message type %d", t)
 	}
-	m.Seq = d.u64()
-	codec := Codec(d.u8())
-	count := d.u32()
-	rawLen := d.u32()
-	if d.err != nil {
-		return m, scratch, d.err
+	m.Seq = d.U64()
+	codec := Codec(d.U8())
+	count := d.U32()
+	rawLen := d.U32()
+	body := d.Take(d.Len())
+	if err := d.Err(); err != nil {
+		return m, scratch, fmt.Errorf("fleet: Batch: %w", err)
 	}
 	if rawLen > maxBatchRaw {
 		return m, scratch, fmt.Errorf("fleet: batch declares %d raw bytes, limit %d", rawLen, maxBatchRaw)
@@ -338,16 +332,16 @@ func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
 	var raw []byte
 	switch codec {
 	case CodecRaw:
-		raw = d.b
+		raw = body
 	case CodecSnappy:
 		var err error
-		raw, err = snappyDecodeInto(scratch, d.b, int(rawLen))
+		raw, err = snappyDecodeInto(scratch, body, int(rawLen))
 		if err != nil {
 			return m, scratch, err
 		}
 		scratch = raw
 	case CodecDeflate:
-		zr := flate.NewReader(bytes.NewReader(d.b))
+		zr := flate.NewReader(bytes.NewReader(body))
 		var err error
 		raw, err = io.ReadAll(io.LimitReader(zr, int64(rawLen)+1))
 		if cerr := zr.Close(); err == nil {
@@ -362,40 +356,62 @@ func decodeBatchScratch(b, scratch []byte) (batchMsg, []byte, error) {
 	if len(raw) != int(rawLen) {
 		return m, scratch, fmt.Errorf("fleet: batch decompressed to %d bytes, declared %d", len(raw), rawLen)
 	}
-	m.Events = make([]ids.Event, 0, count)
-	for len(raw) > 0 {
-		if len(raw) < 4 {
-			return m, scratch, fmt.Errorf("fleet: truncated event frame in batch")
-		}
-		n := binary.LittleEndian.Uint32(raw)
-		raw = raw[4:]
-		if uint32(len(raw)) < n {
-			return m, scratch, fmt.Errorf("fleet: event frame of %d bytes overruns batch", n)
-		}
-		ev, err := eventstore.DecodeEvent(raw[:n])
-		if err != nil {
-			return m, scratch, err
-		}
-		m.Events = append(m.Events, ev)
-		raw = raw[n:]
-	}
-	if uint32(len(m.Events)) != count {
-		return m, scratch, fmt.Errorf("fleet: batch holds %d events, declared %d", len(m.Events), count)
+	var err error
+	if m.Events, err = decodeEventFrames(raw, int(count)); err != nil {
+		return m, scratch, fmt.Errorf("fleet: Batch: %w", err)
 	}
 	return m, scratch, nil
 }
 
+// appendEventFrames appends each event as an event frame: u32 length |
+// EncodeEvent payload. Frames fill the body of a wire batch and of a spool
+// record.
+func appendEventFrames(buf []byte, events []ids.Event) []byte {
+	var tmp []byte
+	for i := range events {
+		tmp = eventstore.EncodeEvent(tmp[:0], &events[i])
+		buf = binfmt.AppendBytes32(buf, tmp)
+	}
+	return buf
+}
+
+// decodeEventFrames decodes b as exactly count event frames. count sizes
+// the result, so callers bound it by len(b)/4 first: every frame costs at
+// least its length prefix.
+func decodeEventFrames(b []byte, count int) ([]ids.Event, error) {
+	d := binfmt.NewDecoder(b)
+	events := make([]ids.Event, 0, count)
+	for d.Len() > 0 {
+		payload := d.Bytes32()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("event frame: %w", err)
+		}
+		ev, err := eventstore.DecodeEvent(payload)
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, ev)
+	}
+	if len(events) != count {
+		return nil, fmt.Errorf("holds %d events, declared %d", len(events), count)
+	}
+	return events, nil
+}
+
 func encodeAck(watermark uint64) []byte {
-	return binary.LittleEndian.AppendUint64([]byte{msgAck}, watermark)
+	return binfmt.AppendU64([]byte{msgAck}, watermark)
 }
 
 func decodeAck(b []byte) (uint64, error) {
-	d := wireDecoder{b: b}
-	if t := d.u8(); t != msgAck {
+	d := binfmt.NewDecoder(b)
+	if t := d.U8(); t != msgAck {
 		return 0, fmt.Errorf("fleet: expected Ack, got message type %d", t)
 	}
-	w := d.u64()
-	return w, d.finish("Ack")
+	w := d.U64()
+	if err := d.Finish(); err != nil {
+		return 0, fmt.Errorf("fleet: Ack: %w", err)
+	}
+	return w, nil
 }
 
 // heartbeat carries sensor-side liveness and lag: the next sequence it will
@@ -407,97 +423,24 @@ type heartbeat struct {
 }
 
 func (h *heartbeat) encode() []byte {
-	buf := []byte{msgHeartbeat}
-	buf = binary.LittleEndian.AppendUint64(buf, h.NextSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, h.Spooled)
-	return binary.LittleEndian.AppendUint64(buf, uint64(h.IngestLag))
+	buf := binfmt.AppendU64([]byte{msgHeartbeat}, h.NextSeq)
+	buf = binfmt.AppendU32(buf, h.Spooled)
+	return binfmt.AppendU64(buf, uint64(h.IngestLag))
 }
 
 func decodeHeartbeat(b []byte) (heartbeat, error) {
-	d := wireDecoder{b: b}
+	d := binfmt.NewDecoder(b)
 	var h heartbeat
-	if t := d.u8(); t != msgHeartbeat {
+	if t := d.U8(); t != msgHeartbeat {
 		return h, fmt.Errorf("fleet: expected Heartbeat, got message type %d", t)
 	}
-	h.NextSeq = d.u64()
-	h.Spooled = d.u32()
-	h.IngestLag = int64(d.u64())
-	return h, d.finish("Heartbeat")
-}
-
-// wireDecoder mirrors the eventstore's defensive decoding: every take is
-// bounds-checked, the first failure sticks.
-type wireDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *wireDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	h.NextSeq = d.U64()
+	h.Spooled = d.U32()
+	h.IngestLag = int64(d.U64())
+	if err := d.Finish(); err != nil {
+		return h, fmt.Errorf("fleet: Heartbeat: %w", err)
 	}
-	if len(d.b) < n {
-		d.err = fmt.Errorf("fleet: message truncated (%d of %d bytes)", len(d.b), n)
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *wireDecoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *wireDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *wireDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *wireDecoder) string16() string {
-	b := d.take(2)
-	if b == nil {
-		return ""
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	s := d.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-
-func (d *wireDecoder) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("fleet: %d stray bytes after %s", len(d.b), what)
-	}
-	return nil
-}
-
-func appendString16(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
+	return h, nil
 }
 
 // The replica protocol (internal/replica) reuses this package's framing and

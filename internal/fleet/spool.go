@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
@@ -63,11 +64,16 @@ func openSpool(fs fault.FS, dir string) (*spool, error) {
 	}
 	sp := &spool{}
 	l, err := journal.Open(fs, filepath.Join(dir, "spool.log"), spoolMagic, spoolMaxPayload, func(payload []byte) error {
-		b, err := decodeSpoolBatch(payload)
-		if err != nil {
-			return err
+		d := binfmt.NewDecoder(payload)
+		b := spoolBatch{seq: d.U64(), bytes: int64(journal.FrameOverhead + len(payload))}
+		count := d.Count(4)
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("fleet: spool batch: %w", err)
 		}
-		b.bytes = int64(journal.FrameOverhead + len(payload))
+		var err error
+		if b.events, err = decodeEventFrames(d.Take(d.Len()), count); err != nil {
+			return fmt.Errorf("fleet: spool batch %d: %w", b.seq, err)
+		}
 		if b.seq > sp.lastSeq {
 			sp.lastSeq = b.seq
 		}
@@ -81,17 +87,12 @@ func openSpool(fs fault.FS, dir string) (*spool, error) {
 	return sp, nil
 }
 
-// spool batch payload: u64 seq | u32 count | framed events.
+// spool batch payload: u64 seq | u32 count | event frames (see
+// appendEventFrames).
 func encodeSpoolBatch(seq uint64, events []ids.Event) []byte {
-	buf := binary.LittleEndian.AppendUint64(nil, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(events)))
-	var tmp []byte
-	for i := range events {
-		tmp = eventstore.EncodeEvent(tmp[:0], &events[i])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tmp)))
-		buf = append(buf, tmp...)
-	}
-	return buf
+	buf := binfmt.AppendU64(nil, seq)
+	buf = binfmt.AppendU32(buf, uint32(len(events)))
+	return appendEventFrames(buf, events)
 }
 
 // encodeSpoolBatchCapped encodes as many leading events as fit under the
@@ -101,8 +102,8 @@ func encodeSpoolBatch(seq uint64, events []ids.Event) []byte {
 // their u16-length strings; this guards against a codec change breaking that
 // invariant silently).
 func encodeSpoolBatchCapped(dst []byte, seq uint64, events []ids.Event) ([]byte, []ids.Event, error) {
-	buf := binary.LittleEndian.AppendUint64(dst[:0], seq)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // count, patched below
+	buf := binfmt.AppendU64(dst[:0], seq)
+	buf = binfmt.AppendU32(buf, 0) // count, patched below
 	var tmp []byte
 	n := 0
 	for i := range events {
@@ -113,43 +114,11 @@ func encodeSpoolBatchCapped(dst []byte, seq uint64, events []ids.Event) ([]byte,
 			}
 			break
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tmp)))
-		buf = append(buf, tmp...)
+		buf = binfmt.AppendBytes32(buf, tmp)
 		n++
 	}
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(n))
 	return buf, events[n:], nil
-}
-
-func decodeSpoolBatch(b []byte) (spoolBatch, error) {
-	var out spoolBatch
-	if len(b) < 12 {
-		return out, fmt.Errorf("fleet: spool batch header truncated")
-	}
-	out.seq = binary.LittleEndian.Uint64(b)
-	count := binary.LittleEndian.Uint32(b[8:12])
-	b = b[12:]
-	out.events = make([]ids.Event, 0, count)
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return out, fmt.Errorf("fleet: spool event frame truncated")
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < n {
-			return out, fmt.Errorf("fleet: spool event frame overruns record")
-		}
-		ev, err := eventstore.DecodeEvent(b[:n])
-		if err != nil {
-			return out, err
-		}
-		out.events = append(out.events, ev)
-		b = b[n:]
-	}
-	if uint32(len(out.events)) != count {
-		return out, fmt.Errorf("fleet: spool batch holds %d events, declared %d", len(out.events), count)
-	}
-	return out, nil
 }
 
 // Add assigns sequence numbers to events, appends them durably, and returns

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/fuzzcorpus"
 	"repro/internal/ids"
 	"repro/internal/journal"
 	"repro/internal/journal/journaltest"
@@ -535,4 +537,30 @@ func TestLogRecoveryTable(t *testing.T) {
 				return w.Close()
 			}},
 	)
+}
+
+// TestSpoolRecoveryBoundsDeclaredCount: a spool record's event count is
+// read off disk and once sized the decoded slice unchecked, so a 12-byte
+// record declaring 1<<18 events reserved ~40 MiB on recovery (and a count
+// of 0xFFFFFFFF asked for hundreds of GiB). Every event costs at least its
+// 4-byte length prefix, so the count must be bounded by the bytes present.
+func TestSpoolRecoveryBoundsDeclaredCount(t *testing.T) {
+	fs := fault.NewSimFS(1, fault.Profile{})
+	payload := binary.LittleEndian.AppendUint64(nil, 1)
+	payload = binary.LittleEndian.AppendUint32(payload, 1<<18)
+	file := journal.AppendFrame(append([]byte(nil), spoolMagic[:]...), payload)
+	if err := fs.MkdirAll("sp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(filepath.Join("sp", "spool.log"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	alloc := fuzzcorpus.AllocatedBytes(func() { _, err = openSpool(fs, "sp") })
+	if err == nil {
+		t.Fatal("spool record declaring events it does not hold was recovered")
+	}
+	if alloc > 1<<20 {
+		t.Fatalf("recovering a %d-byte record allocated %d bytes", len(payload), alloc)
+	}
 }

@@ -1,12 +1,12 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/fault"
 	"repro/internal/journal"
 )
@@ -61,28 +61,17 @@ func OpenWatermarksFS(fs fault.FS, dir string) (*Watermarks, error) {
 	return w, nil
 }
 
+// A watermark record is u16-length sensor id | u64 sequence.
 func encodeMark(id string, seq uint64) []byte {
-	buf := appendString16(nil, id)
-	return binary.LittleEndian.AppendUint64(buf, seq)
-}
-
-func decodeMark(b []byte) (string, uint64, error) {
-	if len(b) < 2 {
-		return "", 0, fmt.Errorf("fleet: watermark record truncated")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) != n+8 {
-		return "", 0, fmt.Errorf("fleet: watermark record of %d bytes, want %d", len(b), n+8)
-	}
-	return string(b[:n]), binary.LittleEndian.Uint64(b[n:]), nil
+	return binfmt.AppendU64(binfmt.AppendString16(nil, id), seq)
 }
 
 // mergeMark decodes one record into marks, keeping the max per sensor.
 func mergeMark(marks map[string]uint64, payload []byte) error {
-	id, seq, err := decodeMark(payload)
-	if err != nil {
-		return err
+	d := binfmt.NewDecoder(payload)
+	id, seq := d.String16(), d.U64()
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("fleet: watermark record: %w", err)
 	}
 	if seq > marks[id] {
 		marks[id] = seq

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -58,3 +59,18 @@ func Write[T []byte | string](tb testing.TB, fuzzName string, seeds []T) {
 // Regen reports whether corpus regeneration was requested via the
 // REGEN_FUZZ_CORPUS environment variable; the gated tests skip otherwise.
 func Regen() bool { return os.Getenv("REGEN_FUZZ_CORPUS") != "" }
+
+// AllocatedBytes returns how many heap bytes fn allocated. The codec fuzz
+// targets and allocation regression tests use it to check that an untrusted
+// count in a payload never sizes an allocation beyond what the payload's
+// own bytes could hold. The measure is process-wide, so fn must not run
+// alongside other allocating work (no t.Parallel), and bounds need a fixed
+// allowance on top: the first fmt.Errorf after a GC refills fmt's printer
+// pool, a few KiB.
+func AllocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}

@@ -1,11 +1,11 @@
 package ids
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/tcpasm"
 )
 
@@ -82,102 +82,54 @@ func (b *StatsBuilder) Clone() *StatsBuilder {
 }
 
 // AppendBinary appends a deterministic binary encoding of the builder's
-// state to buf — the timeline checkpoint format. Equal states encode to
-// equal bytes (sets are written sorted).
+// state to buf — the timeline checkpoint format: u64 sessions | u64 matched
+// | u64 ambiguous | u32 n | n x u16-length CVE | u32 m | m x address, in
+// internal/binfmt encodings. Equal states encode to equal bytes (sets are
+// written sorted).
 func (b *StatsBuilder) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.sessions))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.matched))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.ambiguous))
+	buf = binfmt.AppendU64(buf, uint64(b.sessions))
+	buf = binfmt.AppendU64(buf, uint64(b.matched))
+	buf = binfmt.AppendU64(buf, uint64(b.ambiguous))
 	cves := make([]string, 0, len(b.cves))
 	for cve := range b.cves {
 		cves = append(cves, cve)
 	}
 	sort.Strings(cves)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cves)))
+	buf = binfmt.AppendU32(buf, uint32(len(cves)))
 	for _, cve := range cves {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cve)))
-		buf = append(buf, cve...)
+		buf = binfmt.AppendString16(buf, cve)
 	}
-	srcs := make([][]byte, 0, len(b.srcs))
+	srcs := make([]netip.Addr, 0, len(b.srcs))
 	for src := range b.srcs {
-		srcs = append(srcs, src.AsSlice()) // nil for the zero Addr
+		srcs = append(srcs, src)
 	}
-	sort.Slice(srcs, func(i, j int) bool {
-		if len(srcs[i]) != len(srcs[j]) {
-			return len(srcs[i]) < len(srcs[j])
-		}
-		for k := range srcs[i] {
-			if srcs[i][k] != srcs[j][k] {
-				return srcs[i][k] < srcs[j][k]
-			}
-		}
-		return false
-	})
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(srcs)))
+	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Less(srcs[j]) }) // zero Addr, IPv4, IPv6
+	buf = binfmt.AppendU32(buf, uint32(len(srcs)))
 	for _, src := range srcs {
-		buf = append(buf, byte(len(src)))
-		buf = append(buf, src...)
+		buf = binfmt.AppendAddr(buf, src)
 	}
 	return buf
 }
 
-// DecodeStatsBuilder decodes an AppendBinary encoding, returning the builder
-// and the remaining bytes. It returns an error (never panics) on malformed
-// input, since encodings come off disk.
-func DecodeStatsBuilder(b []byte) (*StatsBuilder, []byte, error) {
+// DecodeStatsBuilder decodes an AppendBinary encoding. It returns an error
+// (never panics) on malformed input or trailing bytes, since encodings come
+// off disk.
+func DecodeStatsBuilder(b []byte) (*StatsBuilder, error) {
+	d := binfmt.NewDecoder(b)
 	sb := NewStatsBuilder()
-	need := func(n int) ([]byte, error) {
-		if len(b) < n {
-			return nil, fmt.Errorf("ids: stats encoding truncated (%d of %d bytes)", len(b), n)
-		}
-		out := b[:n]
-		b = b[n:]
-		return out, nil
+	sb.sessions = int(d.U64())
+	sb.matched = int(d.U64())
+	sb.ambiguous = int(d.U64())
+	for n := d.Count(2); n > 0; n-- {
+		sb.cves[d.String16()] = struct{}{}
 	}
-	hdr, err := need(24)
-	if err != nil {
-		return nil, nil, err
+	for n := d.Count(1); n > 0; n-- {
+		sb.srcs[d.Addr()] = struct{}{}
 	}
-	sb.sessions = int(binary.LittleEndian.Uint64(hdr[0:8]))
-	sb.matched = int(binary.LittleEndian.Uint64(hdr[8:16]))
-	sb.ambiguous = int(binary.LittleEndian.Uint64(hdr[16:24]))
-	nb, err := need(4)
-	if err != nil {
-		return nil, nil, err
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("ids: stats encoding: %w", err)
 	}
-	for n := binary.LittleEndian.Uint32(nb); n > 0; n-- {
-		lb, err := need(2)
-		if err != nil {
-			return nil, nil, err
-		}
-		cb, err := need(int(binary.LittleEndian.Uint16(lb)))
-		if err != nil {
-			return nil, nil, err
-		}
-		sb.cves[string(cb)] = struct{}{}
-	}
-	if nb, err = need(4); err != nil {
-		return nil, nil, err
-	}
-	for n := binary.LittleEndian.Uint32(nb); n > 0; n-- {
-		lb, err := need(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		ab, err := need(int(lb[0]))
-		if err != nil {
-			return nil, nil, err
-		}
-		var src netip.Addr
-		if len(ab) > 0 {
-			var ok bool
-			if src, ok = netip.AddrFromSlice(ab); !ok {
-				return nil, nil, fmt.Errorf("ids: stats encoding has bad address length %d", len(ab))
-			}
-		}
-		sb.srcs[src] = struct{}{}
-	}
-	return sb, b, nil
+	return sb, nil
 }
 
 // Stats returns the aggregate. The builder remains usable afterwards.

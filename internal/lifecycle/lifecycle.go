@@ -17,11 +17,11 @@
 package lifecycle
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/datasets"
 	"repro/internal/ids"
 )
@@ -315,24 +315,25 @@ func (b *Builder) Timelines() []Timeline {
 }
 
 // AppendBinary appends a deterministic binary encoding of the aggregate to
-// buf (CVEs sorted; times as seconds+nanoseconds so the full time.Time range
-// round-trips). DecodeBuilder reverses it.
+// buf: u32 n, then per CVE (sorted) u16-length CVE | firstAttack | u64
+// count | u8 hasRule | firstRule if hasRule, in internal/binfmt encodings
+// (times as seconds+nanoseconds so the full time.Time range round-trips).
+// DecodeBuilder reverses it.
 func (b *Builder) AppendBinary(buf []byte) []byte {
 	cves := make([]string, 0, len(b.byCVE))
 	for cve := range b.byCVE {
 		cves = append(cves, cve)
 	}
 	sort.Strings(cves)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cves)))
+	buf = binfmt.AppendU32(buf, uint32(len(cves)))
 	for _, cve := range cves {
 		a := b.byCVE[cve]
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cve)))
-		buf = append(buf, cve...)
-		buf = appendBinTime(buf, a.firstAttack)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.count))
+		buf = binfmt.AppendString16(buf, cve)
+		buf = binfmt.AppendTime(buf, a.firstAttack)
+		buf = binfmt.AppendU64(buf, uint64(a.count))
 		if a.hasRule {
 			buf = append(buf, 1)
-			buf = appendBinTime(buf, a.firstRule)
+			buf = binfmt.AppendTime(buf, a.firstRule)
 		} else {
 			buf = append(buf, 0)
 		}
@@ -340,77 +341,36 @@ func (b *Builder) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeBuilder decodes an AppendBinary encoding, returning the builder and
-// the remaining bytes. It returns an error (never panics) on malformed
-// input, since encodings come off disk.
-func DecodeBuilder(raw []byte) (*Builder, []byte, error) {
+// minEncodedCVE is the smallest per-CVE entry AppendBinary writes: an empty
+// CVE (2), firstAttack (12), count (8) and hasRule (1).
+const minEncodedCVE = 2 + 12 + 8 + 1
+
+// DecodeBuilder decodes an AppendBinary encoding. It returns an error (never
+// panics) on malformed input or trailing bytes, since encodings come off
+// disk.
+func DecodeBuilder(raw []byte) (*Builder, error) {
+	d := binfmt.NewDecoder(raw)
 	b := NewBuilder()
-	need := func(n int) ([]byte, error) {
-		if len(raw) < n {
-			return nil, fmt.Errorf("lifecycle: aggregate encoding truncated (%d of %d bytes)", len(raw), n)
-		}
-		out := raw[:n]
-		raw = raw[n:]
-		return out, nil
-	}
-	nb, err := need(4)
-	if err != nil {
-		return nil, nil, err
-	}
-	for n := binary.LittleEndian.Uint32(nb); n > 0; n-- {
-		lb, err := need(2)
-		if err != nil {
-			return nil, nil, err
-		}
-		cb, err := need(int(binary.LittleEndian.Uint16(lb)))
-		if err != nil {
-			return nil, nil, err
-		}
-		cve := string(cb)
-		if _, dup := b.byCVE[cve]; dup {
-			return nil, nil, fmt.Errorf("lifecycle: aggregate encoding repeats CVE %q", cve)
-		}
-		a := &pipelineAcc{}
-		if a.firstAttack, err = decodeBinTime(need); err != nil {
-			return nil, nil, err
-		}
-		countB, err := need(8)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.count = int(binary.LittleEndian.Uint64(countB))
-		hb, err := need(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch hb[0] {
+	for n := d.Count(minEncodedCVE); n > 0; n-- {
+		cve := d.String16()
+		a := &pipelineAcc{firstAttack: d.Time(), count: int(d.U64())}
+		switch h := d.U8(); h {
+		case 0:
 		case 1:
 			a.hasRule = true
-			if a.firstRule, err = decodeBinTime(need); err != nil {
-				return nil, nil, err
-			}
-		case 0:
+			a.firstRule = d.Time()
 		default:
-			return nil, nil, fmt.Errorf("lifecycle: aggregate encoding has bad hasRule byte %d", hb[0])
+			d.Fail(fmt.Errorf("bad hasRule byte %d", h))
+		}
+		if _, dup := b.byCVE[cve]; dup {
+			d.Fail(fmt.Errorf("repeats CVE %q", cve))
 		}
 		b.byCVE[cve] = a
 	}
-	return b, raw, nil
-}
-
-func appendBinTime(buf []byte, t time.Time) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Unix()))
-	return binary.LittleEndian.AppendUint32(buf, uint32(t.Nanosecond()))
-}
-
-func decodeBinTime(need func(int) ([]byte, error)) (time.Time, error) {
-	b, err := need(12)
-	if err != nil {
-		return time.Time{}, err
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("lifecycle: aggregate encoding: %w", err)
 	}
-	sec := int64(binary.LittleEndian.Uint64(b[0:8]))
-	nsec := binary.LittleEndian.Uint32(b[8:12])
-	return time.Unix(sec, int64(nsec)).UTC(), nil
+	return b, nil
 }
 
 // neverPublishedCutoff separates real rule publications from the

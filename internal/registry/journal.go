@@ -2,10 +2,10 @@ package registry
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 
+	"repro/internal/binfmt"
 	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/rules"
@@ -80,11 +80,12 @@ func (j *rulesetJournal) replay(apply func(journalEntry)) func([]byte) error {
 }
 
 func decodeEntry(payload []byte) (journalEntry, error) {
-	if len(payload) < 8 {
-		return journalEntry{}, fmt.Errorf("registry: journal entry shorter than its generation header")
+	d := binfmt.NewDecoder(payload)
+	e := journalEntry{gen: d.U64()}
+	if err := d.Err(); err != nil {
+		return journalEntry{}, fmt.Errorf("registry: journal entry generation: %w", err)
 	}
-	e := journalEntry{gen: binary.LittleEndian.Uint64(payload[:8])}
-	parsed, errs := rules.ParseDatedSet(bytes.NewReader(payload[8:]))
+	parsed, errs := rules.ParseDatedSet(bytes.NewReader(d.Take(d.Len())))
 	for _, err := range errs {
 		// The journal only ever holds deltas that parsed cleanly at Publish
 		// time; an error here means corruption that beat the CRC, or a
@@ -103,8 +104,7 @@ func (j *rulesetJournal) append(gen uint64, delta []rules.DatedRule) error {
 	if err := rules.WriteDatedRuleset(&text, delta); err != nil {
 		return err
 	}
-	payload := make([]byte, 8, 8+text.Len())
-	binary.LittleEndian.PutUint64(payload, gen)
+	payload := binfmt.AppendU64(make([]byte, 0, 8+text.Len()), gen)
 	payload = append(payload, text.Bytes()...)
 	if len(payload) > maxJournalEntry {
 		return fmt.Errorf("registry: delta of %d bytes exceeds journal entry cap", len(payload))

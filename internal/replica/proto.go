@@ -31,10 +31,9 @@
 package replica
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
+	"repro/internal/binfmt"
 	"repro/internal/eventstore"
 )
 
@@ -69,29 +68,30 @@ func (p *progress) events() uint64 {
 	return n
 }
 
+// A progress encodes as u32 n | n x u64 count | u64 amends.
 func appendProgress(buf []byte, p *progress) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Counts)))
+	buf = binfmt.AppendU32(buf, uint32(len(p.Counts)))
 	for _, c := range p.Counts {
-		buf = binary.LittleEndian.AppendUint64(buf, c)
+		buf = binfmt.AppendU64(buf, c)
 	}
-	return binary.LittleEndian.AppendUint64(buf, p.Amends)
+	return binfmt.AppendU64(buf, p.Amends)
 }
 
 // maxShards bounds the shard count a peer may declare; the count sizes an
 // allocation and is untrusted input.
 const maxShards = 4096
 
-func (d *rdecoder) progress() progress {
-	n := d.u32()
+func decodeProgress(d *binfmt.Decoder) progress {
+	n := d.Count(8)
 	if n > maxShards {
-		d.fail(fmt.Errorf("replica: peer declares %d shards, limit %d", n, maxShards))
+		d.Fail(fmt.Errorf("peer declares %d shards, limit %d", n, maxShards))
 		return progress{}
 	}
-	p := progress{Counts: make([]uint64, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		p.Counts = append(p.Counts, d.u64())
+	p := progress{Counts: make([]uint64, n)}
+	for i := range p.Counts {
+		p.Counts[i] = d.U64()
 	}
-	p.Amends = d.u64()
+	p.Amends = d.U64()
 	return p
 }
 
@@ -102,22 +102,21 @@ type rhello struct {
 }
 
 func (h *rhello) encode() []byte {
-	buf := []byte{msgRHello, h.Version}
-	buf = appendString16(buf, h.ID)
+	buf := binfmt.AppendString16([]byte{msgRHello, h.Version}, h.ID)
 	return appendProgress(buf, &h.progress)
 }
 
 func decodeRHello(b []byte) (rhello, error) {
-	d := rdecoder{b: b}
+	d := binfmt.NewDecoder(b)
 	var h rhello
-	if t := d.u8(); t != msgRHello {
+	if t := d.U8(); t != msgRHello {
 		return h, fmt.Errorf("replica: expected Hello, got message type %d", t)
 	}
-	h.Version = d.u8()
-	h.ID = d.string16()
-	h.progress = d.progress()
-	if err := d.finish("Hello"); err != nil {
-		return h, err
+	h.Version = d.U8()
+	h.ID = d.String16()
+	h.progress = decodeProgress(&d)
+	if err := d.Finish(); err != nil {
+		return h, fmt.Errorf("replica: Hello: %w", err)
 	}
 	if h.Version != ProtocolVersion {
 		return h, fmt.Errorf("replica: protocol version %d, want %d", h.Version, ProtocolVersion)
@@ -133,147 +132,65 @@ func encodeProgressMsg(typ byte, p *progress) []byte {
 }
 
 func decodeProgressMsg(b []byte, typ byte, what string) (progress, error) {
-	d := rdecoder{b: b}
-	if t := d.u8(); t != typ {
+	d := binfmt.NewDecoder(b)
+	if t := d.U8(); t != typ {
 		return progress{}, fmt.Errorf("replica: expected %s, got message type %d", what, t)
 	}
-	p := d.progress()
-	return p, d.finish(what)
+	p := decodeProgress(&d)
+	if err := d.Finish(); err != nil {
+		return progress{}, fmt.Errorf("replica: %s: %w", what, err)
+	}
+	return p, nil
 }
 
-// encodeAmends frames an amendment-log suffix: each record is the same
-// length-prefixed wire encoding amend.log uses on disk.
+// encodeAmends frames an amendment-log suffix: u32 count, then each record
+// as a u32-length EncodeAmendment payload, the encoding amend.log uses on
+// disk.
 func encodeAmends(as []eventstore.Amendment) []byte {
-	buf := []byte{msgRAmends}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(as)))
+	buf := binfmt.AppendU32([]byte{msgRAmends}, uint32(len(as)))
 	var payload []byte
 	for i := range as {
 		payload = eventstore.EncodeAmendment(payload[:0], &as[i])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
+		buf = binfmt.AppendBytes32(buf, payload)
 	}
 	return buf
 }
 
 func decodeAmends(b []byte) ([]eventstore.Amendment, error) {
-	d := rdecoder{b: b}
-	if t := d.u8(); t != msgRAmends {
+	d := binfmt.NewDecoder(b)
+	if t := d.U8(); t != msgRAmends {
 		return nil, fmt.Errorf("replica: expected Amends, got message type %d", t)
 	}
-	count := d.u32()
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each record costs at least its length prefix; a lying count must not
-	// size a huge allocation.
-	if uint64(count) > uint64(len(d.b))/4+1 {
-		return nil, fmt.Errorf("replica: Amends declares %d records in %d bytes", count, len(d.b))
-	}
-	as := make([]eventstore.Amendment, 0, count)
-	for i := uint32(0); i < count; i++ {
-		n := d.u32()
-		payload := d.take(int(n))
-		if d.err != nil {
-			return nil, d.err
+	// Each record costs at least its length prefix.
+	as := make([]eventstore.Amendment, d.Count(4))
+	for i := range as {
+		payload := d.Bytes32()
+		if d.Err() != nil {
+			break
 		}
-		a, err := eventstore.DecodeAmendment(payload)
-		if err != nil {
+		var err error
+		if as[i], err = eventstore.DecodeAmendment(payload); err != nil {
 			return nil, err
 		}
-		as = append(as, a)
 	}
-	return as, d.finish("Amends")
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("replica: Amends: %w", err)
+	}
+	return as, nil
 }
 
 func encodeRErr(msg string) []byte {
-	return appendString16([]byte{msgRErr}, msg)
+	return binfmt.AppendString16([]byte{msgRErr}, msg)
 }
 
 func decodeRErr(b []byte) (string, error) {
-	d := rdecoder{b: b}
-	if t := d.u8(); t != msgRErr {
+	d := binfmt.NewDecoder(b)
+	if t := d.U8(); t != msgRErr {
 		return "", fmt.Errorf("replica: expected Err, got message type %d", t)
 	}
-	msg := d.string16()
-	return msg, d.finish("Err")
-}
-
-// rdecoder mirrors the fleet wire decoder: bounds-checked takes, first
-// failure sticks.
-type rdecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *rdecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+	msg := d.String16()
+	if err := d.Finish(); err != nil {
+		return "", fmt.Errorf("replica: Err: %w", err)
 	}
-}
-
-func (d *rdecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.fail(fmt.Errorf("replica: message truncated (%d of %d bytes)", len(d.b), n))
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *rdecoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *rdecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *rdecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *rdecoder) string16() string {
-	b := d.take(2)
-	if b == nil {
-		return ""
-	}
-	s := d.take(int(binary.LittleEndian.Uint16(b)))
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-
-func (d *rdecoder) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("replica: %d stray bytes after %s", len(d.b), what)
-	}
-	return nil
-}
-
-func appendString16(buf []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
+	return msg, nil
 }

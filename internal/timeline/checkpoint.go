@@ -1,10 +1,10 @@
 package timeline
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/ids"
 	"repro/internal/journal"
 	"repro/internal/lifecycle"
@@ -85,12 +85,11 @@ type ckptMeta struct {
 
 func encodeCheckpoint(seq uint64, k int, cut, writtenAt time.Time, agg *Aggregate) []byte {
 	buf := append([]byte(nil), ckptMagic[:]...)
-	hdr := []byte{tagCkptHdr}
-	hdr = binary.LittleEndian.AppendUint32(hdr, ckptVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, seq)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
-	hdr = appendSegTime(hdr, cut)
-	hdr = appendSegTime(hdr, writtenAt)
+	hdr := binfmt.AppendU32([]byte{tagCkptHdr}, ckptVersion)
+	hdr = binfmt.AppendU64(hdr, seq)
+	hdr = binfmt.AppendU32(hdr, uint32(k))
+	hdr = binfmt.AppendTime(hdr, cut)
+	hdr = binfmt.AppendTime(hdr, writtenAt)
 	buf = journal.AppendFrame(buf, hdr)
 	buf = journal.AppendFrame(buf, agg.Stats.AppendBinary([]byte{tagStats}))
 	buf = journal.AppendFrame(buf, agg.Life.AppendBinary([]byte{tagLife}))
@@ -112,49 +111,28 @@ func parseCheckpoint(path string, raw []byte) (*ckptMeta, *Aggregate, error) {
 			return fmt.Errorf("empty frame")
 		}
 		body := payload[1:]
+		var err error
 		switch payload[0] {
 		case tagCkptHdr:
-			if len(body) < 16 {
-				return fmt.Errorf("short checkpoint header")
-			}
-			if v := binary.LittleEndian.Uint32(body[0:4]); v != ckptVersion {
+			d := binfmt.NewDecoder(body)
+			if v := d.U32(); d.Err() == nil && v != ckptVersion {
 				return fmt.Errorf("unsupported checkpoint version %d", v)
 			}
-			meta.Seq = binary.LittleEndian.Uint64(body[4:12])
-			meta.K = int(binary.LittleEndian.Uint32(body[12:16]))
-			body = body[16:]
-			var err error
-			if meta.Cut, body, err = takeSegTime(body); err != nil {
-				return err
-			}
-			if meta.WrittenAt, body, err = takeSegTime(body); err != nil {
-				return err
-			}
-			if len(body) != 0 {
-				return fmt.Errorf("%d stray bytes after checkpoint header", len(body))
+			meta.Seq = d.U64()
+			meta.K = int(d.U32())
+			meta.Cut = d.Time()
+			meta.WrittenAt = d.Time()
+			if err := d.Finish(); err != nil {
+				return fmt.Errorf("checkpoint header: %w", err)
 			}
 		case tagStats:
-			sb, rest, err := ids.DecodeStatsBuilder(body)
-			if err != nil {
-				return err
-			}
-			if len(rest) != 0 {
-				return fmt.Errorf("%d stray bytes after stats", len(rest))
-			}
-			agg.Stats = sb
+			agg.Stats, err = ids.DecodeStatsBuilder(body)
 		case tagLife:
-			lb, rest, err := lifecycle.DecodeBuilder(body)
-			if err != nil {
-				return err
-			}
-			if len(rest) != 0 {
-				return fmt.Errorf("%d stray bytes after lifecycle state", len(rest))
-			}
-			agg.Life = lb
+			agg.Life, err = lifecycle.DecodeBuilder(body)
 		default:
 			return fmt.Errorf("unknown frame tag %q", payload[0])
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("timeline: %s: %w", path, err)

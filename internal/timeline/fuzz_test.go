@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fuzzcorpus"
 	"repro/internal/ids"
+	"repro/internal/journal"
 	"repro/internal/packet"
 )
 
@@ -151,4 +153,31 @@ func FuzzCheckpoint(f *testing.F) {
 				agg2.EventCount(), agg.EventCount())
 		}
 	})
+}
+
+// TestSegmentIndexCountsBoundAllocation: the time and CVE index frames
+// declare their entry counts, and those counts once sized allocations
+// against fixed caps rather than against the frame, so an 8-byte time index
+// declaring 1<<18 entries reserved 10 MiB (and the cap allowed ~10 GiB).
+// Every time entry is 24 bytes and every CVE entry at least 6, so a count
+// must be bounded by the bytes the frame actually holds.
+func TestSegmentIndexCountsBoundAllocation(t *testing.T) {
+	count := binary.LittleEndian.AppendUint32(nil, 1<<18)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"time index", append([]byte{tagTime, timeIndexEvery, 0, 0, 0}, count...)},
+		{"CVE index", append([]byte{tagCVE}, count...)},
+	} {
+		raw := journal.AppendFrame(append([]byte(nil), segMagic[:]...), tc.payload)
+		var err error
+		alloc := fuzzcorpus.AllocatedBytes(func() { _, err = parseSegment("lying.seg", raw) })
+		if err == nil {
+			t.Errorf("%s: segment declaring entries it does not hold was accepted", tc.name)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%s: parsing a %d-byte frame allocated %d bytes", tc.name, len(tc.payload), alloc)
+		}
+	}
 }

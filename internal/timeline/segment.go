@@ -1,11 +1,11 @@
 package timeline
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/eventstore"
 	"repro/internal/fault"
 	"repro/internal/ids"
@@ -97,16 +97,15 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 			maxT = events[i].Time
 		}
 	}
-	header := []byte{tagHeader}
-	header = binary.LittleEndian.AppendUint32(header, segVersion)
-	header = binary.LittleEndian.AppendUint64(header, seq)
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(sealedCounts)))
+	header := binfmt.AppendU32([]byte{tagHeader}, segVersion)
+	header = binfmt.AppendU64(header, seq)
+	header = binfmt.AppendU32(header, uint32(len(sealedCounts)))
 	for _, n := range sealedCounts {
-		header = binary.LittleEndian.AppendUint64(header, uint64(n))
+		header = binfmt.AppendU64(header, uint64(n))
 	}
-	header = binary.LittleEndian.AppendUint32(header, uint32(len(events)))
-	header = appendSegTime(header, minT)
-	header = appendSegTime(header, maxT)
+	header = binfmt.AppendU32(header, uint32(len(events)))
+	header = binfmt.AppendTime(header, minT)
+	header = binfmt.AppendTime(header, maxT)
 	buf = journal.AppendFrame(buf, header)
 
 	// Event frames, recording every timeIndexEvery-th frame's offset for the
@@ -131,13 +130,12 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		buf = journal.AppendFrame(buf, payload)
 	}
 
-	tIdx := []byte{tagTime}
-	tIdx = binary.LittleEndian.AppendUint32(tIdx, timeIndexEvery)
-	tIdx = binary.LittleEndian.AppendUint32(tIdx, uint32(len(entries)))
+	tIdx := binfmt.AppendU32([]byte{tagTime}, timeIndexEvery)
+	tIdx = binfmt.AppendU32(tIdx, uint32(len(entries)))
 	for _, e := range entries {
-		tIdx = appendSegTime(tIdx, e.at)
-		tIdx = binary.LittleEndian.AppendUint64(tIdx, uint64(e.off))
-		tIdx = binary.LittleEndian.AppendUint32(tIdx, e.ordinal)
+		tIdx = binfmt.AppendTime(tIdx, e.at)
+		tIdx = binfmt.AppendU64(tIdx, uint64(e.off))
+		tIdx = binfmt.AppendU32(tIdx, e.ordinal)
 	}
 	buf = journal.AppendFrame(buf, tIdx)
 
@@ -146,15 +144,13 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 		cves = append(cves, cve)
 	}
 	sortStrings(cves)
-	cIdx := []byte{tagCVE}
-	cIdx = binary.LittleEndian.AppendUint32(cIdx, uint32(len(cves)))
+	cIdx := binfmt.AppendU32([]byte{tagCVE}, uint32(len(cves)))
 	for _, cve := range cves {
-		cIdx = binary.LittleEndian.AppendUint16(cIdx, uint16(len(cve)))
-		cIdx = append(cIdx, cve...)
+		cIdx = binfmt.AppendString16(cIdx, cve)
 		ords := cveOrds[cve]
-		cIdx = binary.LittleEndian.AppendUint32(cIdx, uint32(len(ords)))
+		cIdx = binfmt.AppendU32(cIdx, uint32(len(ords)))
 		for _, o := range ords {
-			cIdx = binary.LittleEndian.AppendUint32(cIdx, o)
+			cIdx = binfmt.AppendU32(cIdx, o)
 		}
 	}
 	buf = journal.AppendFrame(buf, cIdx)
@@ -163,9 +159,8 @@ func encodeSegment(seq uint64, sealedCounts []int64, events []ids.Event) []byte 
 	for _, cve := range cves {
 		bloom.add(cve)
 	}
-	bIdx := []byte{tagBloom}
-	bIdx = binary.LittleEndian.AppendUint32(bIdx, bloomHashes)
-	bIdx = binary.LittleEndian.AppendUint64(bIdx, uint64(bloom.mBits))
+	bIdx := binfmt.AppendU32([]byte{tagBloom}, bloomHashes)
+	bIdx = binfmt.AppendU64(bIdx, uint64(bloom.mBits))
 	bIdx = append(bIdx, bloom.bits...)
 	buf = journal.AppendFrame(buf, bIdx)
 
@@ -180,20 +175,6 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-func appendSegTime(buf []byte, t time.Time) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Unix()))
-	return binary.LittleEndian.AppendUint32(buf, uint32(t.Nanosecond()))
-}
-
-func takeSegTime(b []byte) (time.Time, []byte, error) {
-	if len(b) < 12 {
-		return time.Time{}, nil, fmt.Errorf("timeline: truncated time field")
-	}
-	sec := int64(binary.LittleEndian.Uint64(b[0:8]))
-	nsec := binary.LittleEndian.Uint32(b[8:12])
-	return time.Unix(sec, int64(nsec)).UTC(), b[12:], nil
 }
 
 // parseSegment reads a segment file image into its metadata summary. The
@@ -240,116 +221,74 @@ func parseSegment(path string, raw []byte) (*segmentMeta, error) {
 	return m, nil
 }
 
+// maxSegShards caps the shard count a segment header may declare.
+const maxSegShards = 1 << 12
+
 func (m *segmentMeta) parseHeader(b []byte) error {
-	if len(b) < 16 {
-		return fmt.Errorf("short header")
-	}
-	if v := binary.LittleEndian.Uint32(b[0:4]); v != segVersion {
+	d := binfmt.NewDecoder(b)
+	if v := d.U32(); d.Err() == nil && v != segVersion {
 		return fmt.Errorf("unsupported segment version %d", v)
 	}
-	m.Seq = binary.LittleEndian.Uint64(b[4:12])
-	nShards := binary.LittleEndian.Uint32(b[12:16])
-	b = b[16:]
-	if nShards > 1<<12 || len(b) < int(nShards)*8+4 {
-		return fmt.Errorf("short header (shards=%d)", nShards)
+	m.Seq = d.U64()
+	n := d.Count(8)
+	if n > maxSegShards {
+		return fmt.Errorf("header declares %d shards, limit %d", n, maxSegShards)
 	}
-	m.SealedCounts = make([]int64, nShards)
+	m.SealedCounts = make([]int64, n)
 	for i := range m.SealedCounts {
-		m.SealedCounts[i] = int64(binary.LittleEndian.Uint64(b[:8]))
-		b = b[8:]
+		m.SealedCounts[i] = int64(d.U64())
 	}
-	m.Count = int(binary.LittleEndian.Uint32(b[:4]))
-	b = b[4:]
-	var err error
-	if m.MinTime, b, err = takeSegTime(b); err != nil {
-		return err
-	}
-	if m.MaxTime, b, err = takeSegTime(b); err != nil {
-		return err
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d stray bytes after header", len(b))
+	m.Count = int(d.U32())
+	m.MinTime = d.Time()
+	m.MaxTime = d.Time()
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("header: %w", err)
 	}
 	return nil
 }
 
+// parseTimeIdx reads the sparse time index; each entry is a time, a u64
+// offset and a u32 ordinal (24 bytes).
 func (m *segmentMeta) parseTimeIdx(b []byte) error {
-	if len(b) < 8 {
-		return fmt.Errorf("short time index")
+	d := binfmt.NewDecoder(b)
+	d.U32() // the stride, informational: entries carry their own ordinals
+	m.timeIdx = make([]timeIdxEntry, d.Count(24))
+	for i := range m.timeIdx {
+		m.timeIdx[i] = timeIdxEntry{at: d.Time(), offset: int64(d.U64()), ordinal: d.U32()}
 	}
-	n := binary.LittleEndian.Uint32(b[4:8])
-	b = b[8:]
-	if n > 1<<28 {
-		return fmt.Errorf("oversized time index (%d entries)", n)
-	}
-	m.timeIdx = make([]timeIdxEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		at, rest, err := takeSegTime(b)
-		if err != nil {
-			return err
-		}
-		if len(rest) < 12 {
-			return fmt.Errorf("short time index entry")
-		}
-		m.timeIdx = append(m.timeIdx, timeIdxEntry{
-			at:      at,
-			offset:  int64(binary.LittleEndian.Uint64(rest[0:8])),
-			ordinal: binary.LittleEndian.Uint32(rest[8:12]),
-		})
-		b = rest[12:]
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d stray bytes after time index", len(b))
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("time index: %w", err)
 	}
 	return nil
 }
 
+// parseCVEIdx reads the per-CVE ordinal lists; each entry is at least a
+// u16 CVE length and a u32 ordinal count (6 bytes).
 func (m *segmentMeta) parseCVEIdx(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("short CVE index")
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	b = b[4:]
-	if n > 1<<24 {
-		return fmt.Errorf("oversized CVE index (%d entries)", n)
-	}
+	d := binfmt.NewDecoder(b)
+	n := d.Count(6)
 	m.cveIdx = make(map[string][]uint32, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 2 {
-			return fmt.Errorf("short CVE index entry")
-		}
-		sl := int(binary.LittleEndian.Uint16(b[0:2]))
-		b = b[2:]
-		if len(b) < sl+4 {
-			return fmt.Errorf("short CVE index entry")
-		}
-		cve := string(b[:sl])
-		b = b[sl:]
-		cnt := binary.LittleEndian.Uint32(b[0:4])
-		b = b[4:]
-		if uint64(cnt)*4 > uint64(len(b)) {
-			return fmt.Errorf("short CVE ordinal list")
-		}
-		ords := make([]uint32, cnt)
+	for ; n > 0; n-- {
+		cve := d.String16()
+		ords := make([]uint32, d.Count(4))
 		for j := range ords {
-			ords[j] = binary.LittleEndian.Uint32(b[:4])
-			b = b[4:]
+			ords[j] = d.U32()
 		}
 		m.cveIdx[cve] = ords
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%d stray bytes after CVE index", len(b))
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("CVE index: %w", err)
 	}
 	return nil
 }
 
 func (m *segmentMeta) parseBloom(b []byte) error {
-	if len(b) < 12 {
-		return fmt.Errorf("short bloom filter")
+	d := binfmt.NewDecoder(b)
+	k, mBits := d.U32(), d.U64()
+	bits := d.Take(d.Len())
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("bloom filter: %w", err)
 	}
-	k := binary.LittleEndian.Uint32(b[0:4])
-	mBits := binary.LittleEndian.Uint64(b[4:12])
-	bits := b[12:]
 	if k == 0 || k > 16 || mBits > uint64(len(bits))*8 {
 		return fmt.Errorf("bad bloom geometry (k=%d mBits=%d bytes=%d)", k, mBits, len(bits))
 	}
